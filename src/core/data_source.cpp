@@ -383,7 +383,7 @@ void DataSourceActor::flush(ActorId to) {
   payload.forwarded = false;
   payload.epoch = epoch_;
   const std::size_t wire =
-      chunk_wire_bytes(payload.chunk, spec_of(payload.chunk.rel).schema);
+      payload.chunk.wire_bytes(spec_of(payload.chunk.rel).schema);
   buffers_.erase(it);
   send(to, make_message(Tag::kDataChunk, std::move(payload), wire));
 }

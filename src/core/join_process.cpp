@@ -451,7 +451,7 @@ std::uint64_t JoinProcessActor::ship_batch(ActorId target,
     payload.chunk.rel = rel;
     payload.chunk.batch.reserve(n);
     payload.chunk.batch.append_range(batch, offset, offset + n);
-    const std::size_t wire = chunk_wire_bytes(payload.chunk, schema);
+    const std::size_t wire = payload.chunk.wire_bytes(schema);
     send(target, make_message(Tag::kDataChunk, std::move(payload), wire));
     offset += n;
     ++chunks;
@@ -638,7 +638,7 @@ void JoinProcessActor::send_result_rows() {
     for (std::size_t i = 0; i < n; ++i) {
       payload.chunk.batch.push_back(captured_[offset + i]);
     }
-    const std::size_t wire = chunk_wire_bytes(payload.chunk, wide);
+    const std::size_t wire = payload.chunk.wire_bytes(wide);
     charge(static_cast<double>(n) * config_->cost.tuple_pack_sec);
     send(scheduler_,
          make_message(Tag::kResultChunk, std::move(payload), wire));

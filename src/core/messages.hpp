@@ -337,9 +337,4 @@ struct SchedulerHandoffAckPayload {
   std::map<ActorId, std::uint64_t> chunks_to;
 };
 
-/// Wire size of a data chunk under `schema`.
-inline std::size_t chunk_wire_bytes(const Chunk& chunk, const Schema& schema) {
-  return chunk.wire_bytes(schema);
-}
-
 }  // namespace ehja

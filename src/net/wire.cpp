@@ -1,8 +1,9 @@
 #include "net/wire.hpp"
 
+#include <algorithm>
 #include <cstring>
-#include <limits>
 #include <memory>
+#include <type_traits>
 #include <utility>
 
 #include "util/assert.hpp"
@@ -169,196 +170,321 @@ bool Reader::can_hold(std::uint64_t count, std::size_t min_item_bytes) {
   return true;
 }
 
-// --- decode helpers ---
+// --- field lists ---
+//
+// One per plain wire struct, in wire order (net/wire.hpp maps field types
+// to bytes).  They live in ehja::wire rather than an anonymous namespace
+// because the archives find them by argument-dependent lookup.
 
-namespace {
-
-/// Read a byte that must be 0 or 1 (strict: round-trips are exact and flips
-/// are decode errors, not silent coercions).
-bool read_bool(Reader& r, bool& out) {
-  const std::uint8_t v = r.u8();
-  if (v > 1) r.fail();
-  out = v == 1;
-  return r.ok();
+template <typename A>
+bool fields(A& a, PosRange& v) {
+  return a(v.lo, v.hi);
 }
 
-/// Read a u8 enum discriminant that must be <= max_value.
-template <typename E>
-bool read_enum(Reader& r, E& out, std::uint8_t max_value) {
-  const std::uint8_t v = r.u8();
-  if (v > max_value) r.fail();
-  out = static_cast<E>(v);
-  return r.ok();
+template <typename A>
+bool fields(A& a, PartitionMap::Entry& v) {
+  return a(v.range, v.owners);
 }
 
-/// Read a zigzag value that must fit an ActorId / NodeId (int32).
-bool read_id(Reader& r, std::int32_t& out) {
-  const std::int64_t v = r.zigzag();
-  if (v < std::numeric_limits<std::int32_t>::min() ||
-      v > std::numeric_limits<std::int32_t>::max()) {
-    r.fail();
-  }
-  out = static_cast<std::int32_t>(v);
-  return r.ok();
+template <typename A>
+bool fields(A& a, NodeMetrics& v) {
+  return a(v.actor, v.node, v.build_tuples, v.probe_tuples, v.matches,
+           v.chunks_received, v.chunks_forwarded, v.max_overshoot_bytes,
+           v.spilled_build_tuples, v.spilled_probe_tuples,
+           v.spilled_partitions, v.fence_dropped_tuples);
 }
 
-bool read_u32(Reader& r, std::uint32_t& out) {
-  const std::uint64_t v = r.varint();
-  if (v > std::numeric_limits<std::uint32_t>::max()) r.fail();
-  out = static_cast<std::uint32_t>(v);
-  return r.ok();
+/// The scheduler snapshot's metrics: the scheduler-accrued scalars only.
+/// The nodes vector, captured rows and the join result are deliberately not
+/// carried (the promoted scheduler re-collects them with the final reports).
+template <typename A>
+bool fields(A& a, RunMetrics& v) {
+  return a(v.t_start, v.t_build_end, v.t_reshuffle_end, v.t_probe_end,
+           v.t_complete, v.split_time, v.expand_time, v.initial_join_nodes,
+           v.expansions, v.final_join_nodes, v.pool_exhausted,
+           v.adaptive_splits, v.adaptive_replicas, v.source_build_chunks,
+           v.source_probe_chunks, v.extra_build_chunks, v.failures_injected,
+           v.failures_detected, v.detection_latency_total,
+           v.detection_latency_max, v.false_positive_deaths, v.join_failures,
+           v.source_failures, v.scheduler_failovers, v.recoveries,
+           v.recovery_time_total, v.replayed_build_tuples,
+           v.replayed_probe_tuples, v.build_tuples_total,
+           v.probe_tuples_total);
 }
 
-void encode_owners(Writer& w, const std::vector<ActorId>& owners) {
-  w.varint(owners.size());
-  for (ActorId owner : owners) w.zigzag(owner);
+template <typename A>
+bool fields(A& a, JoinInitPayload& v) {
+  return a(v.role, v.range, v.source_count, v.op_id);
 }
 
-bool decode_owners(Reader& r, std::vector<ActorId>& owners) {
-  const std::uint64_t count = r.varint();
-  if (!r.can_hold(count, 1)) return false;
-  owners.clear();
-  owners.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    ActorId id = kInvalidActor;
-    if (!read_id(r, id)) return false;
-    owners.push_back(id);
-  }
-  return r.ok();
+template <typename A>
+bool fields(A& a, StartBuildPayload& v) {
+  return a(v.map, v.epoch);
 }
 
-void encode_entry(Writer& w, const PartitionMap::Entry& e) {
-  encode(w, e.range);
-  encode_owners(w, e.owners);
+template <typename A>
+bool fields(A& a, ChunkPayload& v) {
+  return a(v.chunk, v.forwarded, v.epoch);
 }
 
-bool decode_entry(Reader& r, PartitionMap::Entry& e) {
-  return decode(r, e.range) && decode_owners(r, e.owners);
+template <typename A>
+bool fields(A& a, ForwardEndPayload& v) {
+  return a(v.op_id);
 }
 
-void encode_ranges(Writer& w, const std::vector<PosRange>& ranges) {
-  w.varint(ranges.size());
-  for (const PosRange& range : ranges) encode(w, range);
+template <typename A>
+bool fields(A& a, MemoryFullPayload& v) {
+  return a(v.footprint_bytes, v.budget_bytes);
 }
 
-bool decode_ranges(Reader& r, std::vector<PosRange>& ranges) {
-  const std::uint64_t count = r.varint();
-  if (!r.can_hold(count, 2)) return false;
-  ranges.clear();
-  ranges.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    PosRange range;
-    if (!decode(r, range)) return false;
-    ranges.push_back(range);
-  }
-  return r.ok();
+template <typename A>
+bool fields(A& a, SplitRequestPayload& v) {
+  return a(v.op_id, v.moved, v.target);
 }
 
-void encode_chunk_map(Writer& w, const std::map<ActorId, std::uint64_t>& m) {
-  w.varint(m.size());
-  for (const auto& [id, count] : m) {
-    w.zigzag(id);
-    w.varint(count);
-  }
+template <typename A>
+bool fields(A& a, HandoffStartPayload& v) {
+  return a(v.op_id, v.target);
 }
 
-bool decode_chunk_map(Reader& r, std::map<ActorId, std::uint64_t>& m) {
-  const std::uint64_t count = r.varint();
-  if (!r.can_hold(count, 2)) return false;
-  m.clear();
-  ActorId prev = kInvalidActor;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    ActorId id = kInvalidActor;
-    if (!read_id(r, id)) return false;
-    // std::map iterates in key order, so a valid encoding is strictly
-    // increasing; anything else is corruption.
-    if (i > 0 && id <= prev) {
-      r.fail();
-      return false;
-    }
-    prev = id;
-    const std::uint64_t value = r.varint();
-    if (!r.ok()) return false;
-    m.emplace(id, value);
-  }
-  return true;
+template <typename A>
+bool fields(A& a, OpCompletePayload& v) {
+  return a(v.op_id, v.tuples_received);
 }
 
-}  // namespace
-
-// --- composite codecs ---
-
-void encode(Writer& w, const PosRange& v) {
-  w.varint(v.lo);
-  w.varint(v.hi);
+template <typename A>
+bool fields(A& a, MapUpdatePayload& v) {
+  return a(v.version, v.map);
 }
 
-bool decode(Reader& r, PosRange& v) {
-  v.lo = r.varint();
-  v.hi = r.varint();
-  return r.ok();
+template <typename A>
+bool fields(A& a, SourceDonePayload& v) {
+  return a(v.rel, v.chunks_sent, v.tuples_sent, v.chunks_to);
+}
+
+template <typename A>
+bool fields(A& a, SourceProgressPayload& v) {
+  return a(v.rel, v.tuples_sent);
+}
+
+template <typename A>
+bool fields(A& a, DrainProbePayload& v) {
+  return a(v.epoch);
+}
+
+template <typename A>
+bool fields(A& a, DrainAckPayload& v) {
+  return a(v.epoch, v.data_chunks_received, v.data_chunks_forwarded,
+           v.received_from, v.forwarded_to);
+}
+
+template <typename A>
+bool fields(A& a, StartProbePayload& v) {
+  return a(v.map, v.epoch);
+}
+
+template <typename A>
+bool fields(A& a, HistogramRequestPayload& v) {
+  return a(v.set_id, v.bins, v.round);
+}
+
+template <typename A>
+bool fields(A& a, HistogramReplyPayload& v) {
+  return a(v.set_id, v.histogram, v.round);
+}
+
+/// The plan re-cuts one replica set's range: valid entries need not start
+/// at position 0, so it is a raw entry list, not a PartitionMap.
+template <typename A>
+bool fields(A& a, ReshuffleMovePayload& v) {
+  return a(v.plan, v.round);
+}
+
+template <typename A>
+bool fields(A& a, ReshuffleDonePayload& v) {
+  return a(v.round);
+}
+
+template <typename A>
+bool fields(A& a, NodeReportPayload& v) {
+  return a(v.metrics, fixed64(v.checksum), v.result_rows);
+}
+
+template <typename A>
+bool fields(A& a, ResultChunkPayload& v) {
+  return a(v.chunk, v.first, v.total);
+}
+
+template <typename A>
+bool fields(A& a, RecoveryFencePayload& v) {
+  return a(v.epoch, v.lost);
+}
+
+template <typename A>
+bool fields(A& a, RangeResetPayload& v) {
+  return a(v.epoch, v.discard, v.zero_probe_results, v.new_range, v.retired);
+}
+
+template <typename A>
+bool fields(A& a, RangeResetAckPayload& v) {
+  return a(v.epoch);
+}
+
+template <typename A>
+bool fields(A& a, ReplayRequestPayload& v) {
+  return a(v.epoch, v.rel, v.ranges, v.pause_after);
+}
+
+template <typename A>
+bool fields(A& a, ReplayDonePayload& v) {
+  return a(v.epoch, v.rel, v.tuples_replayed, v.chunks_to,
+           v.chunks_sent_total);
+}
+
+/// phase holds a SchedulerActor phase, kBuild..kDone (9 values); pool_free
+/// holds NodeIds, which share ActorId's representation.
+template <typename A>
+bool fields(A& a, SchedulerSnapshotPayload& v) {
+  return a(v.generation, bounded8(v.phase, 8), v.probe_recovery, v.epoch,
+           v.map_version, v.map, v.joins, v.sources, v.dead, v.spilled,
+           v.pool_free, v.reshuffle_round, v.drain_epoch, v.source_chunks_to,
+           v.metrics);
+}
+
+template <typename A>
+bool fields(A& a, SchedulerHandoffPayload& v) {
+  return a(v.generation, v.epoch);
+}
+
+/// done_mask bits 0/1: R/S done; bits 2/3: R/S stream started.
+template <typename A>
+bool fields(A& a, SchedulerHandoffAckPayload& v) {
+  return a(v.generation, bounded8(v.done_mask, 15), v.build_tuples,
+           v.probe_tuples, v.build_chunks, v.probe_chunks, v.chunks_to);
+}
+
+template <typename A>
+bool fields(A& a, DistributionSpec& v) {
+  return a(v.kind, v.mean, v.sigma, v.zipf_s, v.domain);
+}
+
+template <typename A>
+bool fields(A& a, LinkConfig& v) {
+  return a(v.topology, v.bandwidth_bytes_per_sec, v.latency_sec,
+           v.per_message_overhead_bytes, v.loopback_sec_per_byte,
+           v.fault_jitter_sec, v.fault_drop_prob, v.fault_rto_sec,
+           fixed64(v.fault_seed));
+}
+
+template <typename A>
+bool fields(A& a, CostModel& v) {
+  return a(v.tuple_generate_sec, v.tuple_insert_sec, v.tuple_probe_sec,
+           v.tuple_compare_sec, v.match_emit_sec, v.tuple_pack_sec,
+           v.control_handle_sec, v.cpu_scale);
+}
+
+template <typename A>
+bool fields(A& a, DiskConfig& v) {
+  return a(v.write_bytes_per_sec, v.read_bytes_per_sec, v.seek_sec,
+           v.io_buffer_bytes);
+}
+
+template <typename A>
+bool fields(A& a, KillSpec& v) {
+  return a(v.role, v.pool_index, v.at_time, v.after_chunks);
+}
+
+template <typename A>
+bool fields(A& a, FaultPlan& v) {
+  return a(v.kills);
+}
+
+template <typename A>
+bool fields(A& a, FaultToleranceConfig& v) {
+  return a(v.force_enabled, v.heartbeat_interval_sec, v.heartbeat_timeout_sec,
+           v.detector, v.phi_threshold, v.phi_window, v.standby_scheduler);
+}
+
+/// config.trace is deliberately not serialized: tracing is a
+/// coordinator-side concern and the sink pointer is meaningless in another
+/// process.
+template <typename A>
+bool fields(A& a, EhjaConfig& v) {
+  return a(v.algorithm, v.initial_join_nodes, v.join_pool_nodes,
+           v.data_sources, v.node_hash_memory_bytes, v.build_rel, v.probe_rel,
+           v.chunk_tuples, v.generation_slice_tuples, fixed64(v.seed),
+           v.source_progress_slices, v.reshuffle_bins, v.spill_fanout,
+           v.pick_policy, v.split_variant, v.balanced_initial_partition,
+           v.partition_sample, v.link, v.cost, v.disk, v.faults, v.ft,
+           v.intra_threads, v.intra_mode, v.capture_output,
+           v.pipeline_stage);
+}
+
+// --- archive overloads defined out of line ---
+
+void Enc::put(const std::string& s) {
+  const std::size_t n = std::min(s.size(), kMaxWireString);
+  w_.varint(n);
+  w_.bytes(reinterpret_cast<const std::uint8_t*>(s.data()), n);
+}
+
+bool Dec::get(std::string& s) {
+  const std::uint64_t n = r_.varint();
+  if (n > kMaxWireString) r_.fail();
+  if (!r_.can_hold(n, 1)) return false;
+  s.resize(static_cast<std::size_t>(n));
+  for (char& c : s) c = static_cast<char>(r_.u8());
+  return r_.ok();
 }
 
 // Chunks are encoded columnar (all row ids, then all join attributes) so
 // the codec streams each column of the batch sequentially; the derived
 // position column is recomputed on decode rather than shipped.
-void encode(Writer& w, const Chunk& v) {
-  w.u8(static_cast<std::uint8_t>(v.rel));
+void Enc::put(const Chunk& v) {
+  put(v.rel);
   const std::size_t n = v.batch.size();
-  w.varint(n);
-  for (std::size_t i = 0; i < n; ++i) w.varint(v.batch.id(i));
-  for (std::size_t i = 0; i < n; ++i) w.varint(v.batch.key(i));
+  w_.varint(n);
+  for (std::size_t i = 0; i < n; ++i) w_.varint(v.batch.id(i));
+  for (std::size_t i = 0; i < n; ++i) w_.varint(v.batch.key(i));
 }
 
-bool decode(Reader& r, Chunk& v) {
-  if (!read_enum(r, v.rel, 1)) return false;
-  const std::uint64_t count = r.varint();
-  if (!r.can_hold(count, 2)) return false;
+bool Dec::get(Chunk& v) {
+  std::uint64_t count = 0;
+  if (!(*this)(v.rel, count) || !r_.can_hold(count, 2)) return false;
   std::vector<std::uint64_t> ids;
   ids.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {
-    ids.push_back(r.varint());
-    if (!r.ok()) return false;
+    ids.push_back(r_.varint());
+    if (!r_.ok()) return false;
   }
   v.batch.clear();
   v.batch.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {
-    const std::uint64_t key = r.varint();
-    if (!r.ok()) return false;
+    const std::uint64_t key = r_.varint();
+    if (!r_.ok()) return false;
     v.batch.append(ids[static_cast<std::size_t>(i)], key);
   }
   return true;
 }
 
-void encode(Writer& w, const PartitionMap& v) {
-  w.varint(v.positions());
-  w.varint(v.size());
-  for (const PartitionMap::Entry& e : v.entries()) encode_entry(w, e);
-}
+void Enc::put(const PartitionMap& v) { (*this)(v.positions(), v.entries()); }
 
-bool decode(Reader& r, PartitionMap& v) {
-  const std::uint64_t positions = r.varint();
-  const std::uint64_t count = r.varint();
-  if (!r.can_hold(count, 4)) return false;
+bool Dec::get(PartitionMap& v) {
+  std::uint64_t positions = 0;
   std::vector<PartitionMap::Entry> entries;
-  entries.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    PartitionMap::Entry e;
-    if (!decode_entry(r, e)) return false;
-    entries.push_back(std::move(e));
-  }
+  if (!(*this)(positions, entries)) return false;
   // Re-validate PartitionMap::check()'s invariants here, where a violation
   // is a decode error rather than the abort from_entries() would raise.
   if (entries.empty() || entries.front().range.lo != 0 ||
       entries.back().range.hi != positions) {
-    r.fail();
+    r_.fail();
     return false;
   }
   for (std::size_t i = 0; i < entries.size(); ++i) {
     if (entries[i].range.empty() || entries[i].owners.empty() ||
         (i + 1 < entries.size() &&
          entries[i].range.hi != entries[i + 1].range.lo)) {
-      r.fail();
+      r_.fail();
       return false;
     }
   }
@@ -366,22 +492,19 @@ bool decode(Reader& r, PartitionMap& v) {
   return true;
 }
 
-void encode(Writer& w, const BinnedHistogram& v) {
-  w.varint(v.lo());
-  w.varint(v.hi());
-  w.varint(v.bin_count());
-  for (std::size_t i = 0; i < v.bin_count(); ++i) w.varint(v.bin_weight(i));
+void Enc::put(const BinnedHistogram& v) {
+  (*this)(v.lo(), v.hi(), v.weights());
 }
 
-bool decode(Reader& r, BinnedHistogram& v) {
-  const std::uint64_t lo = r.varint();
-  const std::uint64_t hi = r.varint();
-  const std::uint64_t bins = r.varint();
-  if (!r.ok()) return false;
+bool Dec::get(BinnedHistogram& v) {
+  std::uint64_t lo = 0;
+  std::uint64_t hi = 0;
+  std::uint64_t bins = 0;
+  if (!(*this)(lo, hi, bins)) return false;
   if (bins == 0) {
     // Only a default-constructed (never-initialized) histogram has no bins.
     if (lo != 0 || hi != 0) {
-      r.fail();
+      r_.fail();
       return false;
     }
     v = BinnedHistogram{};
@@ -390,1100 +513,207 @@ bool decode(Reader& r, BinnedHistogram& v) {
   // The constructor clamps bins to the range width, so a legitimate encoding
   // always satisfies bins <= hi - lo; reconstructing with the encoded count
   // then reproduces the exact geometry (width = span / bins).
-  if (hi <= lo || bins > hi - lo || !r.can_hold(bins, 1)) {
-    r.fail();
+  if (hi <= lo || bins > hi - lo || !r_.can_hold(bins, 1)) {
+    r_.fail();
     return false;
   }
   v = BinnedHistogram(lo, hi, static_cast<std::size_t>(bins));
   for (std::uint64_t i = 0; i < bins; ++i) {
-    const std::uint64_t weight = r.varint();
-    if (!r.ok()) return false;
+    const std::uint64_t weight = r_.varint();
+    if (!r_.ok()) return false;
     if (weight > 0) v.add(v.bin_lo(static_cast<std::size_t>(i)), weight);
   }
   return true;
 }
 
-void encode(Writer& w, const NodeMetrics& v) {
-  w.zigzag(v.actor);
-  w.zigzag(v.node);
-  w.varint(v.build_tuples);
-  w.varint(v.probe_tuples);
-  w.varint(v.matches);
-  w.varint(v.chunks_received);
-  w.varint(v.chunks_forwarded);
-  w.varint(v.max_overshoot_bytes);
-  w.varint(v.spilled_build_tuples);
-  w.varint(v.spilled_probe_tuples);
-  w.varint(v.spilled_partitions);
-  w.varint(v.fence_dropped_tuples);
-}
-
-bool decode(Reader& r, NodeMetrics& v) {
-  if (!read_id(r, v.actor) || !read_id(r, v.node)) return false;
-  v.build_tuples = r.varint();
-  v.probe_tuples = r.varint();
-  v.matches = r.varint();
-  v.chunks_received = r.varint();
-  v.chunks_forwarded = r.varint();
-  v.max_overshoot_bytes = r.varint();
-  v.spilled_build_tuples = r.varint();
-  v.spilled_probe_tuples = r.varint();
-  v.spilled_partitions = r.varint();
-  v.fence_dropped_tuples = r.varint();
-  return r.ok();
-}
-
-// --- payload codecs ---
-
-void encode(Writer& w, const JoinInitPayload& v) {
-  w.u8(static_cast<std::uint8_t>(v.role));
-  encode(w, v.range);
-  w.varint(v.source_count);
-  w.varint(v.op_id);
-}
-
-bool decode(Reader& r, JoinInitPayload& v) {
-  if (!read_enum(r, v.role, 2) || !decode(r, v.range)) return false;
-  if (!read_u32(r, v.source_count)) return false;
-  v.op_id = r.varint();
-  return r.ok();
-}
-
-void encode(Writer& w, const StartBuildPayload& v) {
-  encode(w, v.map);
-  w.varint(v.epoch);
-}
-
-bool decode(Reader& r, StartBuildPayload& v) {
-  if (!decode(r, v.map)) return false;
-  v.epoch = r.varint();
-  return r.ok();
-}
-
-void encode(Writer& w, const ChunkPayload& v) {
-  encode(w, v.chunk);
-  w.u8(v.forwarded ? 1 : 0);
-  w.varint(v.epoch);
-}
-
-bool decode(Reader& r, ChunkPayload& v) {
-  if (!decode(r, v.chunk) || !read_bool(r, v.forwarded)) return false;
-  v.epoch = r.varint();
-  return r.ok();
-}
-
-void encode(Writer& w, const ForwardEndPayload& v) { w.varint(v.op_id); }
-
-bool decode(Reader& r, ForwardEndPayload& v) {
-  v.op_id = r.varint();
-  return r.ok();
-}
-
-void encode(Writer& w, const MemoryFullPayload& v) {
-  w.varint(v.footprint_bytes);
-  w.varint(v.budget_bytes);
-}
-
-bool decode(Reader& r, MemoryFullPayload& v) {
-  v.footprint_bytes = r.varint();
-  v.budget_bytes = r.varint();
-  return r.ok();
-}
-
-void encode(Writer& w, const SplitRequestPayload& v) {
-  w.varint(v.op_id);
-  encode(w, v.moved);
-  w.zigzag(v.target);
-}
-
-bool decode(Reader& r, SplitRequestPayload& v) {
-  v.op_id = r.varint();
-  return decode(r, v.moved) && read_id(r, v.target);
-}
-
-void encode(Writer& w, const HandoffStartPayload& v) {
-  w.varint(v.op_id);
-  w.zigzag(v.target);
-}
-
-bool decode(Reader& r, HandoffStartPayload& v) {
-  v.op_id = r.varint();
-  return read_id(r, v.target);
-}
-
-void encode(Writer& w, const OpCompletePayload& v) {
-  w.varint(v.op_id);
-  w.varint(v.tuples_received);
-}
-
-bool decode(Reader& r, OpCompletePayload& v) {
-  v.op_id = r.varint();
-  v.tuples_received = r.varint();
-  return r.ok();
-}
-
-void encode(Writer& w, const MapUpdatePayload& v) {
-  w.varint(v.version);
-  encode(w, v.map);
-}
-
-bool decode(Reader& r, MapUpdatePayload& v) {
-  v.version = r.varint();
-  return decode(r, v.map);
-}
-
-void encode(Writer& w, const SourceDonePayload& v) {
-  w.u8(static_cast<std::uint8_t>(v.rel));
-  w.varint(v.chunks_sent);
-  w.varint(v.tuples_sent);
-  encode_chunk_map(w, v.chunks_to);
-}
-
-bool decode(Reader& r, SourceDonePayload& v) {
-  if (!read_enum(r, v.rel, 1)) return false;
-  v.chunks_sent = r.varint();
-  v.tuples_sent = r.varint();
-  return decode_chunk_map(r, v.chunks_to);
-}
-
-void encode(Writer& w, const SourceProgressPayload& v) {
-  w.u8(static_cast<std::uint8_t>(v.rel));
-  w.varint(v.tuples_sent);
-}
-
-bool decode(Reader& r, SourceProgressPayload& v) {
-  if (!read_enum(r, v.rel, 1)) return false;
-  v.tuples_sent = r.varint();
-  return r.ok();
-}
-
-void encode(Writer& w, const DrainProbePayload& v) { w.varint(v.epoch); }
-
-bool decode(Reader& r, DrainProbePayload& v) {
-  v.epoch = r.varint();
-  return r.ok();
-}
-
-void encode(Writer& w, const DrainAckPayload& v) {
-  w.varint(v.epoch);
-  w.varint(v.data_chunks_received);
-  w.varint(v.data_chunks_forwarded);
-  encode_chunk_map(w, v.received_from);
-  encode_chunk_map(w, v.forwarded_to);
-}
-
-bool decode(Reader& r, DrainAckPayload& v) {
-  v.epoch = r.varint();
-  v.data_chunks_received = r.varint();
-  v.data_chunks_forwarded = r.varint();
-  return decode_chunk_map(r, v.received_from) &&
-         decode_chunk_map(r, v.forwarded_to);
-}
-
-void encode(Writer& w, const StartProbePayload& v) {
-  encode(w, v.map);
-  w.varint(v.epoch);
-}
-
-bool decode(Reader& r, StartProbePayload& v) {
-  if (!decode(r, v.map)) return false;
-  v.epoch = r.varint();
-  return r.ok();
-}
-
-void encode(Writer& w, const HistogramRequestPayload& v) {
-  w.varint(v.set_id);
-  w.varint(v.bins);
-  w.varint(v.round);
-}
-
-bool decode(Reader& r, HistogramRequestPayload& v) {
-  v.set_id = r.varint();
-  const std::uint64_t bins = r.varint();
-  if (bins > std::numeric_limits<std::size_t>::max()) r.fail();
-  v.bins = static_cast<std::size_t>(bins);
-  return read_u32(r, v.round);
-}
-
-void encode(Writer& w, const HistogramReplyPayload& v) {
-  w.varint(v.set_id);
-  encode(w, v.histogram);
-  w.varint(v.round);
-}
-
-bool decode(Reader& r, HistogramReplyPayload& v) {
-  v.set_id = r.varint();
-  return decode(r, v.histogram) && read_u32(r, v.round);
-}
-
-void encode(Writer& w, const ReshuffleMovePayload& v) {
-  // The plan is a re-cut of one replica set's range: valid entries need not
-  // start at position 0, so this is a raw entry list, not a PartitionMap.
-  w.varint(v.plan.size());
-  for (const PartitionMap::Entry& e : v.plan) encode_entry(w, e);
-  w.varint(v.round);
-}
-
-bool decode(Reader& r, ReshuffleMovePayload& v) {
-  const std::uint64_t count = r.varint();
-  if (!r.can_hold(count, 4)) return false;
-  v.plan.clear();
-  v.plan.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    PartitionMap::Entry e;
-    if (!decode_entry(r, e)) return false;
-    v.plan.push_back(std::move(e));
-  }
-  return read_u32(r, v.round);
-}
-
-void encode(Writer& w, const ReshuffleDonePayload& v) { w.varint(v.round); }
-
-bool decode(Reader& r, ReshuffleDonePayload& v) {
-  return read_u32(r, v.round);
-}
-
-void encode(Writer& w, const NodeReportPayload& v) {
-  encode(w, v.metrics);
-  w.u64(v.checksum);
-  w.varint(v.result_rows);
-}
-
-bool decode(Reader& r, NodeReportPayload& v) {
-  if (!decode(r, v.metrics)) return false;
-  v.checksum = r.u64();
-  v.result_rows = r.varint();
-  return r.ok();
-}
-
-void encode(Writer& w, const ResultChunkPayload& v) {
-  encode(w, v.chunk);
-  w.u8(v.first ? 1 : 0);
-  w.varint(v.total);
-}
-
-bool decode(Reader& r, ResultChunkPayload& v) {
-  if (!decode(r, v.chunk)) return false;
-  if (!read_bool(r, v.first)) return false;
-  v.total = r.varint();
-  return r.ok();
-}
-
-void encode(Writer& w, const RecoveryFencePayload& v) {
-  w.varint(v.epoch);
-  encode_ranges(w, v.lost);
-}
-
-bool decode(Reader& r, RecoveryFencePayload& v) {
-  v.epoch = r.varint();
-  return decode_ranges(r, v.lost);
-}
-
-void encode(Writer& w, const RangeResetPayload& v) {
-  w.varint(v.epoch);
-  encode_ranges(w, v.discard);
-  w.u8(v.zero_probe_results ? 1 : 0);
-  w.u8(v.new_range.has_value() ? 1 : 0);
-  if (v.new_range) encode(w, *v.new_range);
-  w.u8(v.retired ? 1 : 0);
-}
-
-bool decode(Reader& r, RangeResetPayload& v) {
-  v.epoch = r.varint();
-  if (!decode_ranges(r, v.discard) || !read_bool(r, v.zero_probe_results)) {
-    return false;
-  }
-  bool has_range = false;
-  if (!read_bool(r, has_range)) return false;
-  if (has_range) {
-    PosRange range;
-    if (!decode(r, range)) return false;
-    v.new_range = range;
-  } else {
-    v.new_range.reset();
-  }
-  return read_bool(r, v.retired);
-}
-
-void encode(Writer& w, const RangeResetAckPayload& v) { w.varint(v.epoch); }
-
-bool decode(Reader& r, RangeResetAckPayload& v) {
-  v.epoch = r.varint();
-  return r.ok();
-}
-
-void encode(Writer& w, const ReplayRequestPayload& v) {
-  w.varint(v.epoch);
-  w.u8(static_cast<std::uint8_t>(v.rel));
-  encode_ranges(w, v.ranges);
-  w.u8(v.pause_after ? 1 : 0);
-}
-
-bool decode(Reader& r, ReplayRequestPayload& v) {
-  v.epoch = r.varint();
-  return read_enum(r, v.rel, 1) && decode_ranges(r, v.ranges) &&
-         read_bool(r, v.pause_after);
-}
-
-void encode(Writer& w, const ReplayDonePayload& v) {
-  w.varint(v.epoch);
-  w.u8(static_cast<std::uint8_t>(v.rel));
-  w.varint(v.tuples_replayed);
-  encode_chunk_map(w, v.chunks_to);
-  w.varint(v.chunks_sent_total);
-}
-
-bool decode(Reader& r, ReplayDonePayload& v) {
-  v.epoch = r.varint();
-  if (!read_enum(r, v.rel, 1)) return false;
-  v.tuples_replayed = r.varint();
-  if (!decode_chunk_map(r, v.chunks_to)) return false;
-  v.chunks_sent_total = r.varint();
-  return r.ok();
-}
-
-namespace {
-
-/// Nested per-source per-destination chunk accounting (snapshot only).
-void encode_chunks_to(
-    Writer& w, const std::map<ActorId, std::map<ActorId, std::uint64_t>>& m) {
-  w.varint(m.size());
-  for (const auto& [source, dests] : m) {
-    w.zigzag(source);
-    encode_chunk_map(w, dests);
-  }
-}
-
-bool decode_chunks_to(
-    Reader& r, std::map<ActorId, std::map<ActorId, std::uint64_t>>& m) {
-  const std::uint64_t count = r.varint();
-  if (!r.can_hold(count, 2)) return false;
-  m.clear();
-  ActorId prev = kInvalidActor;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    ActorId id = kInvalidActor;
-    if (!read_id(r, id)) return false;
-    if (i > 0 && id <= prev) {
-      r.fail();
-      return false;
-    }
-    prev = id;
-    std::map<ActorId, std::uint64_t> dests;
-    if (!decode_chunk_map(r, dests)) return false;
-    m.emplace(id, std::move(dests));
-  }
-  return true;
-}
-
-/// The snapshot's metrics are the scheduler-accrued scalars only; the nodes
-/// vector and the join result are deliberately not carried (the promoted
-/// scheduler re-collects them with the final reports).
-void encode_run_metrics(Writer& w, const RunMetrics& v) {
-  w.f64(v.t_start);
-  w.f64(v.t_build_end);
-  w.f64(v.t_reshuffle_end);
-  w.f64(v.t_probe_end);
-  w.f64(v.t_complete);
-  w.f64(v.split_time);
-  w.f64(v.expand_time);
-  w.varint(v.initial_join_nodes);
-  w.varint(v.expansions);
-  w.varint(v.final_join_nodes);
-  w.u8(v.pool_exhausted ? 1 : 0);
-  w.varint(v.adaptive_splits);
-  w.varint(v.adaptive_replicas);
-  w.varint(v.source_build_chunks);
-  w.varint(v.source_probe_chunks);
-  w.varint(v.extra_build_chunks);
-  w.varint(v.failures_injected);
-  w.varint(v.failures_detected);
-  w.f64(v.detection_latency_total);
-  w.f64(v.detection_latency_max);
-  w.varint(v.false_positive_deaths);
-  w.varint(v.join_failures);
-  w.varint(v.source_failures);
-  w.varint(v.scheduler_failovers);
-  w.varint(v.recoveries);
-  w.f64(v.recovery_time_total);
-  w.varint(v.replayed_build_tuples);
-  w.varint(v.replayed_probe_tuples);
-  w.varint(v.build_tuples_total);
-  w.varint(v.probe_tuples_total);
-}
-
-bool decode_run_metrics(Reader& r, RunMetrics& v) {
-  v = RunMetrics{};
-  v.t_start = r.f64();
-  v.t_build_end = r.f64();
-  v.t_reshuffle_end = r.f64();
-  v.t_probe_end = r.f64();
-  v.t_complete = r.f64();
-  v.split_time = r.f64();
-  v.expand_time = r.f64();
-  if (!read_u32(r, v.initial_join_nodes) || !read_u32(r, v.expansions) ||
-      !read_u32(r, v.final_join_nodes) || !read_bool(r, v.pool_exhausted) ||
-      !read_u32(r, v.adaptive_splits) || !read_u32(r, v.adaptive_replicas)) {
-    return false;
-  }
-  v.source_build_chunks = r.varint();
-  v.source_probe_chunks = r.varint();
-  v.extra_build_chunks = r.varint();
-  if (!read_u32(r, v.failures_injected) || !read_u32(r, v.failures_detected)) {
-    return false;
-  }
-  v.detection_latency_total = r.f64();
-  v.detection_latency_max = r.f64();
-  if (!read_u32(r, v.false_positive_deaths) ||
-      !read_u32(r, v.join_failures) || !read_u32(r, v.source_failures) ||
-      !read_u32(r, v.scheduler_failovers) || !read_u32(r, v.recoveries)) {
-    return false;
-  }
-  v.recovery_time_total = r.f64();
-  v.replayed_build_tuples = r.varint();
-  v.replayed_probe_tuples = r.varint();
-  v.build_tuples_total = r.varint();
-  v.probe_tuples_total = r.varint();
-  return r.ok();
-}
-
-}  // namespace
-
-void encode(Writer& w, const SchedulerSnapshotPayload& v) {
-  w.varint(v.generation);
-  w.u8(v.phase);
-  w.u8(v.probe_recovery ? 1 : 0);
-  w.varint(v.epoch);
-  w.varint(v.map_version);
-  encode(w, v.map);
-  encode_owners(w, v.joins);
-  encode_owners(w, v.sources);
-  encode_owners(w, v.dead);
-  encode_owners(w, v.spilled);
-  encode_owners(w, v.pool_free);  // NodeId shares ActorId's representation
-  w.varint(v.reshuffle_round);
-  w.varint(v.drain_epoch);
-  encode_chunks_to(w, v.source_chunks_to);
-  encode_run_metrics(w, v.metrics);
-}
-
-bool decode(Reader& r, SchedulerSnapshotPayload& v) {
-  v.generation = r.varint();
-  // Phase discriminants: kBuild..kDone (9 values).
-  const std::uint8_t phase = r.u8();
-  if (phase > 8) {
-    r.fail();
-    return false;
-  }
-  v.phase = phase;
-  if (!read_bool(r, v.probe_recovery)) return false;
-  v.epoch = r.varint();
-  v.map_version = r.varint();
-  if (!decode(r, v.map)) return false;
-  if (!decode_owners(r, v.joins) || !decode_owners(r, v.sources) ||
-      !decode_owners(r, v.dead) || !decode_owners(r, v.spilled) ||
-      !decode_owners(r, v.pool_free)) {
-    return false;
-  }
-  if (!read_u32(r, v.reshuffle_round)) return false;
-  v.drain_epoch = r.varint();
-  return decode_chunks_to(r, v.source_chunks_to) &&
-         decode_run_metrics(r, v.metrics);
-}
-
-void encode(Writer& w, const SchedulerHandoffPayload& v) {
-  w.varint(v.generation);
-  w.varint(v.epoch);
-}
-
-bool decode(Reader& r, SchedulerHandoffPayload& v) {
-  v.generation = r.varint();
-  v.epoch = r.varint();
-  return r.ok();
-}
-
-void encode(Writer& w, const SchedulerHandoffAckPayload& v) {
-  w.varint(v.generation);
-  w.u8(v.done_mask);
-  w.varint(v.build_tuples);
-  w.varint(v.probe_tuples);
-  w.varint(v.build_chunks);
-  w.varint(v.probe_chunks);
-  encode_chunk_map(w, v.chunks_to);
-}
-
-bool decode(Reader& r, SchedulerHandoffAckPayload& v) {
-  v.generation = r.varint();
-  const std::uint8_t mask = r.u8();
-  if (mask > 15) {  // bits 0/1: R/S done; bits 2/3: R/S stream started
-    r.fail();
-    return false;
-  }
-  v.done_mask = mask;
-  v.build_tuples = r.varint();
-  v.probe_tuples = r.varint();
-  v.build_chunks = r.varint();
-  v.probe_chunks = r.varint();
-  return decode_chunk_map(r, v.chunks_to);
-}
-
-// --- message codec ---
-
-bool known_tag(int tag) {
-  switch (static_cast<Tag>(tag)) {
-    case Tag::kJoinInit:
-    case Tag::kStartBuild:
-    case Tag::kGenSlice:
-    case Tag::kDataChunk:
-    case Tag::kForwardEnd:
-    case Tag::kMemoryFull:
-    case Tag::kSplitRequest:
-    case Tag::kHandoffStart:
-    case Tag::kOpComplete:
-    case Tag::kRelief:
-    case Tag::kSwitchToSpill:
-    case Tag::kMapUpdate:
-    case Tag::kSourceDone:
-    case Tag::kDrainProbe:
-    case Tag::kDrainAck:
-    case Tag::kBuildComplete:
-    case Tag::kStartProbe:
-    case Tag::kSourceProgress:
-    case Tag::kHistogramRequest:
-    case Tag::kHistogramReply:
-    case Tag::kReshuffleMove:
-    case Tag::kReshuffleDone:
-    case Tag::kReportRequest:
-    case Tag::kNodeReport:
-    case Tag::kResultChunk:
-    case Tag::kPing:
-    case Tag::kPong:
-    case Tag::kHeartbeatTick:
-    case Tag::kRecoveryFence:
-    case Tag::kRangeReset:
-    case Tag::kRangeResetAck:
-    case Tag::kReplayRequest:
-    case Tag::kReplayDone:
-    case Tag::kSchedulerSnapshot:
-    case Tag::kSchedulerHandoff:
-    case Tag::kSchedulerHandoffAck:
-      return true;
-  }
-  return false;
-}
-
-bool tag_has_payload(Tag tag) {
-  switch (tag) {
-    case Tag::kGenSlice:
-    case Tag::kRelief:
-    case Tag::kSwitchToSpill:
-    case Tag::kBuildComplete:
-    case Tag::kReportRequest:
-    case Tag::kPing:
-    case Tag::kPong:
-    case Tag::kHeartbeatTick:
-      return false;
-    default:
-      return true;
-  }
-}
-
-void encode_message(const Message& msg, Writer& w) {
-  EHJA_CHECK_MSG(known_tag(msg.tag), "encoding message with unknown tag");
-  const Tag tag = static_cast<Tag>(msg.tag);
-  EHJA_CHECK_MSG(msg.has_payload() == tag_has_payload(tag),
-                 "message payload presence does not match its tag");
-  w.zigzag(msg.tag);
-  w.zigzag(msg.from);
-  w.varint(msg.wire_bytes);
-  switch (tag) {
-    case Tag::kJoinInit:
-      encode(w, msg.as<JoinInitPayload>());
-      break;
-    case Tag::kStartBuild:
-      encode(w, msg.as<StartBuildPayload>());
-      break;
-    case Tag::kDataChunk:
-      encode(w, msg.as<ChunkPayload>());
-      break;
-    case Tag::kForwardEnd:
-      encode(w, msg.as<ForwardEndPayload>());
-      break;
-    case Tag::kMemoryFull:
-      encode(w, msg.as<MemoryFullPayload>());
-      break;
-    case Tag::kSplitRequest:
-      encode(w, msg.as<SplitRequestPayload>());
-      break;
-    case Tag::kHandoffStart:
-      encode(w, msg.as<HandoffStartPayload>());
-      break;
-    case Tag::kOpComplete:
-      encode(w, msg.as<OpCompletePayload>());
-      break;
-    case Tag::kMapUpdate:
-      encode(w, msg.as<MapUpdatePayload>());
-      break;
-    case Tag::kSourceDone:
-      encode(w, msg.as<SourceDonePayload>());
-      break;
-    case Tag::kDrainProbe:
-      encode(w, msg.as<DrainProbePayload>());
-      break;
-    case Tag::kDrainAck:
-      encode(w, msg.as<DrainAckPayload>());
-      break;
-    case Tag::kStartProbe:
-      encode(w, msg.as<StartProbePayload>());
-      break;
-    case Tag::kSourceProgress:
-      encode(w, msg.as<SourceProgressPayload>());
-      break;
-    case Tag::kHistogramRequest:
-      encode(w, msg.as<HistogramRequestPayload>());
-      break;
-    case Tag::kHistogramReply:
-      encode(w, msg.as<HistogramReplyPayload>());
-      break;
-    case Tag::kReshuffleMove:
-      encode(w, msg.as<ReshuffleMovePayload>());
-      break;
-    case Tag::kReshuffleDone:
-      encode(w, msg.as<ReshuffleDonePayload>());
-      break;
-    case Tag::kNodeReport:
-      encode(w, msg.as<NodeReportPayload>());
-      break;
-    case Tag::kResultChunk:
-      encode(w, msg.as<ResultChunkPayload>());
-      break;
-    case Tag::kRecoveryFence:
-      encode(w, msg.as<RecoveryFencePayload>());
-      break;
-    case Tag::kRangeReset:
-      encode(w, msg.as<RangeResetPayload>());
-      break;
-    case Tag::kRangeResetAck:
-      encode(w, msg.as<RangeResetAckPayload>());
-      break;
-    case Tag::kReplayRequest:
-      encode(w, msg.as<ReplayRequestPayload>());
-      break;
-    case Tag::kReplayDone:
-      encode(w, msg.as<ReplayDonePayload>());
-      break;
-    case Tag::kSchedulerSnapshot:
-      encode(w, msg.as<SchedulerSnapshotPayload>());
-      break;
-    case Tag::kSchedulerHandoff:
-      encode(w, msg.as<SchedulerHandoffPayload>());
-      break;
-    case Tag::kSchedulerHandoffAck:
-      encode(w, msg.as<SchedulerHandoffAckPayload>());
-      break;
-    case Tag::kGenSlice:
-    case Tag::kRelief:
-    case Tag::kSwitchToSpill:
-    case Tag::kBuildComplete:
-    case Tag::kReportRequest:
-    case Tag::kPing:
-    case Tag::kPong:
-    case Tag::kHeartbeatTick:
-      break;  // signals carry no payload
-  }
-}
-
-namespace {
-
-/// Decode a payload of type T and wrap it into a Message.
-template <typename T>
-bool decode_payload_message(Reader& r, Tag tag, std::size_t wire_bytes,
-                            Message& out) {
-  T payload;
-  if (!decode(r, payload)) return false;
-  out = make_message(tag, std::move(payload), wire_bytes);
-  return true;
-}
-
-}  // namespace
-
-bool decode_message(Reader& r, Message& out) {
-  const std::int64_t raw_tag = r.zigzag();
-  if (!r.ok() || raw_tag < std::numeric_limits<int>::min() ||
-      raw_tag > std::numeric_limits<int>::max() ||
-      !known_tag(static_cast<int>(raw_tag))) {
-    r.fail();
-    return false;
-  }
-  const Tag tag = static_cast<Tag>(raw_tag);
-  ActorId from = kInvalidActor;
-  if (!read_id(r, from)) return false;
-  const std::uint64_t wire_bytes = r.varint();
-  if (!r.ok() || wire_bytes > std::numeric_limits<std::size_t>::max()) {
-    r.fail();
-    return false;
-  }
-  const std::size_t bytes = static_cast<std::size_t>(wire_bytes);
-  bool decoded = false;
-  switch (tag) {
-    case Tag::kJoinInit:
-      decoded = decode_payload_message<JoinInitPayload>(r, tag, bytes, out);
-      break;
-    case Tag::kStartBuild:
-      decoded = decode_payload_message<StartBuildPayload>(r, tag, bytes, out);
-      break;
-    case Tag::kDataChunk:
-      decoded = decode_payload_message<ChunkPayload>(r, tag, bytes, out);
-      break;
-    case Tag::kForwardEnd:
-      decoded = decode_payload_message<ForwardEndPayload>(r, tag, bytes, out);
-      break;
-    case Tag::kMemoryFull:
-      decoded = decode_payload_message<MemoryFullPayload>(r, tag, bytes, out);
-      break;
-    case Tag::kSplitRequest:
-      decoded =
-          decode_payload_message<SplitRequestPayload>(r, tag, bytes, out);
-      break;
-    case Tag::kHandoffStart:
-      decoded =
-          decode_payload_message<HandoffStartPayload>(r, tag, bytes, out);
-      break;
-    case Tag::kOpComplete:
-      decoded = decode_payload_message<OpCompletePayload>(r, tag, bytes, out);
-      break;
-    case Tag::kMapUpdate:
-      decoded = decode_payload_message<MapUpdatePayload>(r, tag, bytes, out);
-      break;
-    case Tag::kSourceDone:
-      decoded = decode_payload_message<SourceDonePayload>(r, tag, bytes, out);
-      break;
-    case Tag::kDrainProbe:
-      decoded = decode_payload_message<DrainProbePayload>(r, tag, bytes, out);
-      break;
-    case Tag::kDrainAck:
-      decoded = decode_payload_message<DrainAckPayload>(r, tag, bytes, out);
-      break;
-    case Tag::kStartProbe:
-      decoded = decode_payload_message<StartProbePayload>(r, tag, bytes, out);
-      break;
-    case Tag::kSourceProgress:
-      decoded =
-          decode_payload_message<SourceProgressPayload>(r, tag, bytes, out);
-      break;
-    case Tag::kHistogramRequest:
-      decoded =
-          decode_payload_message<HistogramRequestPayload>(r, tag, bytes, out);
-      break;
-    case Tag::kHistogramReply:
-      decoded =
-          decode_payload_message<HistogramReplyPayload>(r, tag, bytes, out);
-      break;
-    case Tag::kReshuffleMove:
-      decoded =
-          decode_payload_message<ReshuffleMovePayload>(r, tag, bytes, out);
-      break;
-    case Tag::kReshuffleDone:
-      decoded =
-          decode_payload_message<ReshuffleDonePayload>(r, tag, bytes, out);
-      break;
-    case Tag::kNodeReport:
-      decoded = decode_payload_message<NodeReportPayload>(r, tag, bytes, out);
-      break;
-    case Tag::kResultChunk:
-      decoded = decode_payload_message<ResultChunkPayload>(r, tag, bytes, out);
-      break;
-    case Tag::kRecoveryFence:
-      decoded =
-          decode_payload_message<RecoveryFencePayload>(r, tag, bytes, out);
-      break;
-    case Tag::kRangeReset:
-      decoded = decode_payload_message<RangeResetPayload>(r, tag, bytes, out);
-      break;
-    case Tag::kRangeResetAck:
-      decoded =
-          decode_payload_message<RangeResetAckPayload>(r, tag, bytes, out);
-      break;
-    case Tag::kReplayRequest:
-      decoded =
-          decode_payload_message<ReplayRequestPayload>(r, tag, bytes, out);
-      break;
-    case Tag::kReplayDone:
-      decoded = decode_payload_message<ReplayDonePayload>(r, tag, bytes, out);
-      break;
-    case Tag::kSchedulerSnapshot:
-      decoded =
-          decode_payload_message<SchedulerSnapshotPayload>(r, tag, bytes, out);
-      break;
-    case Tag::kSchedulerHandoff:
-      decoded =
-          decode_payload_message<SchedulerHandoffPayload>(r, tag, bytes, out);
-      break;
-    case Tag::kSchedulerHandoffAck:
-      decoded = decode_payload_message<SchedulerHandoffAckPayload>(r, tag,
-                                                                  bytes, out);
-      break;
-    case Tag::kGenSlice:
-    case Tag::kRelief:
-    case Tag::kSwitchToSpill:
-    case Tag::kBuildComplete:
-    case Tag::kReportRequest:
-    case Tag::kPing:
-    case Tag::kPong:
-    case Tag::kHeartbeatTick:
-      out = make_signal(tag, bytes);
-      decoded = true;
-      break;
-  }
-  if (!decoded) return false;
-  out.from = from;
-  return r.ok();
-}
-
-// --- config codec ---
-
-namespace {
-
-void encode_dist(Writer& w, const DistributionSpec& v) {
-  w.u8(static_cast<std::uint8_t>(v.kind));
-  w.f64(v.mean);
-  w.f64(v.sigma);
-  w.f64(v.zipf_s);
-  w.varint(v.domain);
-}
-
-bool decode_dist(Reader& r, DistributionSpec& v) {
-  if (!read_enum(r, v.kind, 3)) return false;
-  v.mean = r.f64();
-  v.sigma = r.f64();
-  v.zipf_s = r.f64();
-  v.domain = r.varint();
-  return r.ok();
-}
-
-void encode_relation(Writer& w, const RelationSpec& v) {
-  w.u8(static_cast<std::uint8_t>(v.tag));
-  w.varint(v.tuple_count);
-  w.varint(v.schema.tuple_bytes);
-  encode_dist(w, v.dist);
-  // v6: materialized backing rows (pipeline intermediates) ride inside the
-  // relation spec, columnar (ids then keys) with the source checksum.
-  w.u8(v.data ? 1 : 0);
+// Materialized backing rows (pipeline intermediates) ride inside the
+// relation spec behind a presence flag, columnar (ids then keys) with the
+// source checksum.
+void Enc::put(const RelationSpec& v) {
+  (*this)(v.tag, v.tuple_count, v.schema.tuple_bytes, v.dist,
+          v.data != nullptr);
   if (v.data) {
-    w.u64(v.data->source_checksum);
-    for (const Tuple& t : v.data->rows) w.varint(t.id);
-    for (const Tuple& t : v.data->rows) w.varint(t.key);
+    w_.u64(v.data->source_checksum);
+    for (const Tuple& t : v.data->rows) w_.varint(t.id);
+    for (const Tuple& t : v.data->rows) w_.varint(t.key);
   }
 }
 
-bool decode_relation(Reader& r, RelationSpec& v) {
-  if (!read_enum(r, v.tag, 1)) return false;
-  v.tuple_count = r.varint();
-  if (!read_u32(r, v.schema.tuple_bytes)) return false;
+bool Dec::get(RelationSpec& v) {
+  if (!(*this)(v.tag, v.tuple_count, v.schema.tuple_bytes)) return false;
   // Schema::payload_bytes() asserts tuple_bytes >= 16; enforce it here so a
   // corrupt config is a decode error, not a later abort.
   if (v.schema.tuple_bytes < 16) {
-    r.fail();
+    r_.fail();
     return false;
   }
-  if (!decode_dist(r, v.dist)) return false;
   bool has_data = false;
-  if (!read_bool(r, has_data)) return false;
+  if (!(*this)(v.dist, has_data)) return false;
   if (!has_data) {
     v.data.reset();
     return true;
   }
-  if (!r.can_hold(v.tuple_count, 2)) return false;
+  if (!r_.can_hold(v.tuple_count, 2)) return false;
   auto data = std::make_shared<MaterializedRelation>();
-  data->source_checksum = r.u64();
+  data->source_checksum = r_.u64();
   data->rows.resize(static_cast<std::size_t>(v.tuple_count));
-  for (Tuple& t : data->rows) t.id = r.varint();
-  for (Tuple& t : data->rows) t.key = r.varint();
-  if (!r.ok()) return false;
+  for (Tuple& t : data->rows) t.id = r_.varint();
+  for (Tuple& t : data->rows) t.key = r_.varint();
+  if (!r_.ok()) return false;
   v.data = std::move(data);
   return true;
 }
 
-void encode_link(Writer& w, const LinkConfig& v) {
-  w.u8(static_cast<std::uint8_t>(v.topology));
-  w.f64(v.bandwidth_bytes_per_sec);
-  w.f64(v.latency_sec);
-  w.f64(v.per_message_overhead_bytes);
-  w.f64(v.loopback_sec_per_byte);
-  w.f64(v.fault_jitter_sec);
-  w.f64(v.fault_drop_prob);
-  w.f64(v.fault_rto_sec);
-  w.u64(v.fault_seed);
+void Enc::put(const EhjaConfig& v) {
+  fields(*this, const_cast<EhjaConfig&>(v));
 }
 
-bool decode_link(Reader& r, LinkConfig& v) {
-  if (!read_enum(r, v.topology, 1)) return false;
-  v.bandwidth_bytes_per_sec = r.f64();
-  v.latency_sec = r.f64();
-  v.per_message_overhead_bytes = r.f64();
-  v.loopback_sec_per_byte = r.f64();
-  v.fault_jitter_sec = r.f64();
-  v.fault_drop_prob = r.f64();
-  v.fault_rto_sec = r.f64();
-  v.fault_seed = r.u64();
-  return r.ok();
+bool Dec::get(EhjaConfig& v) {
+  v.trace = nullptr;
+  return fields(*this, v);
 }
 
-void encode_cost(Writer& w, const CostModel& v) {
-  w.f64(v.tuple_generate_sec);
-  w.f64(v.tuple_insert_sec);
-  w.f64(v.tuple_probe_sec);
-  w.f64(v.tuple_compare_sec);
-  w.f64(v.match_emit_sec);
-  w.f64(v.tuple_pack_sec);
-  w.f64(v.control_handle_sec);
-  w.f64(v.cpu_scale);
-}
+// --- message codec ---
 
-bool decode_cost(Reader& r, CostModel& v) {
-  v.tuple_generate_sec = r.f64();
-  v.tuple_insert_sec = r.f64();
-  v.tuple_probe_sec = r.f64();
-  v.tuple_compare_sec = r.f64();
-  v.match_emit_sec = r.f64();
-  v.tuple_pack_sec = r.f64();
-  v.control_handle_sec = r.f64();
-  v.cpu_scale = r.f64();
-  return r.ok();
-}
+namespace {
 
-void encode_disk(Writer& w, const DiskConfig& v) {
-  w.f64(v.write_bytes_per_sec);
-  w.f64(v.read_bytes_per_sec);
-  w.f64(v.seek_sec);
-  w.varint(v.io_buffer_bytes);
-}
+/// The payload "type" of tags that carry none.
+struct Signal {};
 
-bool decode_disk(Reader& r, DiskConfig& v) {
-  v.write_bytes_per_sec = r.f64();
-  v.read_bytes_per_sec = r.f64();
-  v.seek_sec = r.f64();
-  const std::uint64_t buffer = r.varint();
-  if (buffer > std::numeric_limits<std::size_t>::max()) r.fail();
-  v.io_buffer_bytes = static_cast<std::size_t>(buffer);
-  return r.ok();
-}
-
-void encode_faults(Writer& w, const FaultPlan& v) {
-  w.varint(v.kills.size());
-  for (const KillSpec& kill : v.kills) {
-    w.u8(static_cast<std::uint8_t>(kill.role));
-    w.varint(kill.pool_index);
-    w.f64(kill.at_time);
-    w.varint(kill.after_chunks);
+/// The protocol's one Tag -> payload-type map: returns
+/// f(std::type_identity<T>{}) for the payload type T that `tag` carries
+/// (Signal for payload-free tags), or false without calling f when `tag`
+/// names no message.
+template <typename F>
+bool with_payload_type(int tag, F&& f) {
+  switch (static_cast<Tag>(tag)) {
+    case Tag::kJoinInit:
+      return f(std::type_identity<JoinInitPayload>{});
+    case Tag::kStartBuild:
+      return f(std::type_identity<StartBuildPayload>{});
+    case Tag::kDataChunk:
+      return f(std::type_identity<ChunkPayload>{});
+    case Tag::kForwardEnd:
+      return f(std::type_identity<ForwardEndPayload>{});
+    case Tag::kMemoryFull:
+      return f(std::type_identity<MemoryFullPayload>{});
+    case Tag::kSplitRequest:
+      return f(std::type_identity<SplitRequestPayload>{});
+    case Tag::kHandoffStart:
+      return f(std::type_identity<HandoffStartPayload>{});
+    case Tag::kOpComplete:
+      return f(std::type_identity<OpCompletePayload>{});
+    case Tag::kMapUpdate:
+      return f(std::type_identity<MapUpdatePayload>{});
+    case Tag::kSourceDone:
+      return f(std::type_identity<SourceDonePayload>{});
+    case Tag::kDrainProbe:
+      return f(std::type_identity<DrainProbePayload>{});
+    case Tag::kDrainAck:
+      return f(std::type_identity<DrainAckPayload>{});
+    case Tag::kStartProbe:
+      return f(std::type_identity<StartProbePayload>{});
+    case Tag::kSourceProgress:
+      return f(std::type_identity<SourceProgressPayload>{});
+    case Tag::kHistogramRequest:
+      return f(std::type_identity<HistogramRequestPayload>{});
+    case Tag::kHistogramReply:
+      return f(std::type_identity<HistogramReplyPayload>{});
+    case Tag::kReshuffleMove:
+      return f(std::type_identity<ReshuffleMovePayload>{});
+    case Tag::kReshuffleDone:
+      return f(std::type_identity<ReshuffleDonePayload>{});
+    case Tag::kNodeReport:
+      return f(std::type_identity<NodeReportPayload>{});
+    case Tag::kResultChunk:
+      return f(std::type_identity<ResultChunkPayload>{});
+    case Tag::kRecoveryFence:
+      return f(std::type_identity<RecoveryFencePayload>{});
+    case Tag::kRangeReset:
+      return f(std::type_identity<RangeResetPayload>{});
+    case Tag::kRangeResetAck:
+      return f(std::type_identity<RangeResetAckPayload>{});
+    case Tag::kReplayRequest:
+      return f(std::type_identity<ReplayRequestPayload>{});
+    case Tag::kReplayDone:
+      return f(std::type_identity<ReplayDonePayload>{});
+    case Tag::kSchedulerSnapshot:
+      return f(std::type_identity<SchedulerSnapshotPayload>{});
+    case Tag::kSchedulerHandoff:
+      return f(std::type_identity<SchedulerHandoffPayload>{});
+    case Tag::kSchedulerHandoffAck:
+      return f(std::type_identity<SchedulerHandoffAckPayload>{});
+    case Tag::kGenSlice:
+    case Tag::kRelief:
+    case Tag::kSwitchToSpill:
+    case Tag::kBuildComplete:
+    case Tag::kReportRequest:
+    case Tag::kPing:
+    case Tag::kPong:
+    case Tag::kHeartbeatTick:
+      return f(std::type_identity<Signal>{});
   }
-}
-
-bool decode_faults(Reader& r, FaultPlan& v) {
-  const std::uint64_t count = r.varint();
-  if (!r.can_hold(count, 11)) return false;
-  v.kills.clear();
-  v.kills.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    KillSpec kill;
-    if (!read_enum(r, kill.role, 2)) return false;
-    if (!read_u32(r, kill.pool_index)) return false;
-    kill.at_time = r.f64();
-    kill.after_chunks = r.varint();
-    if (!r.ok()) return false;
-    v.kills.push_back(kill);
-  }
-  return true;
+  return false;
 }
 
 }  // namespace
 
-void encode_config(const EhjaConfig& config, Writer& w) {
-  w.u8(static_cast<std::uint8_t>(config.algorithm));
-  w.varint(config.initial_join_nodes);
-  w.varint(config.join_pool_nodes);
-  w.varint(config.data_sources);
-  w.varint(config.node_hash_memory_bytes);
-  encode_relation(w, config.build_rel);
-  encode_relation(w, config.probe_rel);
-  w.varint(config.chunk_tuples);
-  w.varint(config.generation_slice_tuples);
-  w.u64(config.seed);
-  w.varint(config.source_progress_slices);
-  w.varint(config.reshuffle_bins);
-  w.varint(config.spill_fanout);
-  w.u8(static_cast<std::uint8_t>(config.pick_policy));
-  w.u8(static_cast<std::uint8_t>(config.split_variant));
-  w.u8(config.balanced_initial_partition ? 1 : 0);
-  w.varint(config.partition_sample);
-  // config.trace is deliberately not serialized: tracing is a
-  // coordinator-side concern and the sink pointer is meaningless in another
-  // process.
-  encode_link(w, config.link);
-  encode_cost(w, config.cost);
-  encode_disk(w, config.disk);
-  encode_faults(w, config.faults);
-  w.u8(config.ft.force_enabled ? 1 : 0);
-  w.f64(config.ft.heartbeat_interval_sec);
-  w.f64(config.ft.heartbeat_timeout_sec);
-  w.u8(static_cast<std::uint8_t>(config.ft.detector));
-  w.f64(config.ft.phi_threshold);
-  w.varint(config.ft.phi_window);
-  w.u8(config.ft.standby_scheduler ? 1 : 0);
-  w.varint(config.intra_threads);
-  w.u8(static_cast<std::uint8_t>(config.intra_mode));
-  w.u8(config.capture_output ? 1 : 0);
-  w.varint(config.pipeline_stage);
+bool known_tag(int tag) {
+  return with_payload_type(tag, [](auto) { return true; });
 }
 
-bool decode_config(Reader& r, EhjaConfig& config) {
-  if (!read_enum(r, config.algorithm, 4)) return false;
-  if (!read_u32(r, config.initial_join_nodes) ||
-      !read_u32(r, config.join_pool_nodes) ||
-      !read_u32(r, config.data_sources)) {
-    return false;
-  }
-  config.node_hash_memory_bytes = r.varint();
-  if (!decode_relation(r, config.build_rel) ||
-      !decode_relation(r, config.probe_rel)) {
-    return false;
-  }
-  if (!read_u32(r, config.chunk_tuples) ||
-      !read_u32(r, config.generation_slice_tuples)) {
-    return false;
-  }
-  config.seed = r.u64();
-  if (!read_u32(r, config.source_progress_slices)) return false;
-  const std::uint64_t bins = r.varint();
-  const std::uint64_t fanout = r.varint();
-  if (!r.ok() || bins > std::numeric_limits<std::size_t>::max() ||
-      fanout > std::numeric_limits<std::size_t>::max()) {
+bool tag_has_payload(Tag tag) {
+  return with_payload_type(static_cast<int>(tag), [](auto type) {
+    return !std::is_same_v<typename decltype(type)::type, Signal>;
+  });
+}
+
+void encode_message(const Message& msg, Writer& w) {
+  Enc out{w};
+  const bool known = with_payload_type(msg.tag, [&](auto type) {
+    using T = typename decltype(type)::type;
+    constexpr bool kSignal = std::is_same_v<T, Signal>;
+    EHJA_CHECK_MSG(msg.has_payload() != kSignal,
+                   "message payload presence does not match its tag");
+    out(msg.tag, msg.from, msg.wire_bytes);
+    if constexpr (!kSignal) out(msg.as<T>());
+    return true;
+  });
+  EHJA_CHECK_MSG(known, "encoding message with unknown tag");
+}
+
+bool decode_message(Reader& r, Message& out) {
+  Dec in{r};
+  int tag = 0;
+  ActorId from = kInvalidActor;
+  std::size_t wire_bytes = 0;
+  if (!in(tag, from, wire_bytes)) return false;
+  const bool decoded = with_payload_type(tag, [&](auto type) {
+    using T = typename decltype(type)::type;
+    if constexpr (std::is_same_v<T, Signal>) {
+      out = make_signal(static_cast<Tag>(tag), wire_bytes);
+    } else {
+      T payload;
+      if (!in(payload)) return false;
+      out = make_message(static_cast<Tag>(tag), std::move(payload),
+                         wire_bytes);
+    }
+    return true;
+  });
+  if (!decoded) {
     r.fail();
     return false;
   }
-  config.reshuffle_bins = static_cast<std::size_t>(bins);
-  config.spill_fanout = static_cast<std::size_t>(fanout);
-  if (!read_enum(r, config.pick_policy, 2) ||
-      !read_enum(r, config.split_variant, 1) ||
-      !read_bool(r, config.balanced_initial_partition)) {
-    return false;
-  }
-  config.partition_sample = r.varint();
-  config.trace = nullptr;
-  if (!decode_link(r, config.link) || !decode_cost(r, config.cost) ||
-      !decode_disk(r, config.disk) || !decode_faults(r, config.faults)) {
-    return false;
-  }
-  if (!read_bool(r, config.ft.force_enabled)) return false;
-  config.ft.heartbeat_interval_sec = r.f64();
-  config.ft.heartbeat_timeout_sec = r.f64();
-  if (!read_enum(r, config.ft.detector, 1)) return false;
-  config.ft.phi_threshold = r.f64();
-  if (!read_u32(r, config.ft.phi_window)) return false;
-  if (!read_bool(r, config.ft.standby_scheduler)) return false;
-  if (!read_u32(r, config.intra_threads)) return false;
-  if (!read_enum(r, config.intra_mode, 1)) return false;
-  if (!read_bool(r, config.capture_output)) return false;
-  return read_u32(r, config.pipeline_stage);
+  out.from = from;
+  return true;
+}
+
+// --- config codec ---
+
+void encode_config(const EhjaConfig& config, Writer& w) { Enc{w}(config); }
+
+bool decode_config(Reader& r, EhjaConfig& config) {
+  return Dec{r}(config);
 }
 
 // --- frame layer ---

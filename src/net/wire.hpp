@@ -12,12 +12,43 @@
 //     varints, zigzag-folded signed varints, bit-cast doubles.  Nothing is
 //     ever written through a struct overlay, so the format is independent of
 //     host endianness and padding.
-//   * Payload codecs -- one encode/decode overload pair per payload struct
-//     and per composite (PosRange, PartitionMap, Chunk, BinnedHistogram,
-//     NodeMetrics, EhjaConfig).
-//   * Message codec -- encode_message/decode_message switch on Tag and
-//     carry (tag, from, wire_bytes, payload), reconstructing the exact
-//     std::any payload type that Message::as<T>() expects.
+//   * Archives -- Enc (over a Writer) and Dec (over a Reader) walk a
+//     struct's field list.  Each plain wire struct has exactly one,
+//
+//       template <typename A> bool fields(A& a, T& v) { return a(v.x, v.y); }
+//
+//     in wire order, declared in ehja::wire (or ehja::serve) so that the
+//     archives find it by argument-dependent lookup.  Both directions walk
+//     the same list, so encode and decode cannot drift.  The field's C++
+//     type picks its encoding:
+//
+//       u64, size_t        varint
+//       u32                varint, range-checked on decode
+//       int32 (ActorId)    zigzag varint, range-checked on decode
+//       bool               one byte, strictly 0 or 1
+//       enum               one byte, at most wire_max(E)
+//       double             8 bytes, bit-cast
+//       fixed64(x)         8 bytes: checksums and seeds (random bits)
+//       bounded8(x, max)   one byte, at most max.  A bare uint8_t field does
+//                          not compile: it would silently widen to int32.
+//       string             varint length + bytes, at most kMaxWireString
+//       vector, map        varint count + items, the count checked against
+//                          the remaining bytes before anything is
+//                          allocated; map keys strictly increasing
+//       optional           presence bool, then the value
+//       struct             its own field list
+//
+//     Four layouts are more than a field list and keep a hand-written
+//     Enc::put / Dec::get pair in wire.cpp: Chunk (columnar -- the ids
+//     column, then the keys column -- so the data plane streams each column
+//     in one loop), PartitionMap and BinnedHistogram (decode re-validates the
+//     invariants their constructors would abort on), and RelationSpec
+//     (decode enforces tuple_bytes >= 16, and materialized rows ship
+//     columnar behind a presence flag).
+//   * Message codec -- encode_message/decode_message carry (tag, from,
+//     wire_bytes, payload), reconstructing the exact std::any payload type
+//     that Message::as<T>() expects from the one Tag -> payload-type switch
+//     in wire.cpp.
 //   * Frame layer -- a 16-byte header (magic, version, kind, length) plus a
 //     CRC32 over the body.  try_parse_frame() consumes a byte stream
 //     incrementally, so a TCP receive buffer can be fed as-is.
@@ -27,12 +58,18 @@
 // FrameStatus::kError) -- never undefined behaviour, never an unbounded
 // allocation, never an EHJA_CHECK abort.  Every length read from the wire is
 // validated against the bytes actually remaining before anything is
-// allocated.  tests/test_wire.cpp fuzzes exactly this contract under ASan.
+// allocated.  tests/test_wire.cpp fuzzes exactly this contract under ASan,
+// and pins the bytes of every message, config and serve payload.
 #pragma once
 
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <map>
+#include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/config.hpp"
@@ -125,83 +162,242 @@ class Reader {
   bool ok_ = true;
 };
 
-// --- composite codecs (shared building blocks) ---
+// --- archives ---
 
-void encode(Writer& w, const PosRange& v);
-bool decode(Reader& r, PosRange& v);
-void encode(Writer& w, const Chunk& v);
-bool decode(Reader& r, Chunk& v);
-void encode(Writer& w, const PartitionMap& v);
-bool decode(Reader& r, PartitionMap& v);  // validates map invariants
-void encode(Writer& w, const BinnedHistogram& v);
-bool decode(Reader& r, BinnedHistogram& v);
-void encode(Writer& w, const NodeMetrics& v);
-bool decode(Reader& r, NodeMetrics& v);
+/// Longest string the archives carry: encode truncates to it, and decode
+/// rejects a longer length.
+inline constexpr std::size_t kMaxWireString = 64 * 1024;
 
-// --- payload codecs, one pair per struct in core/messages.hpp ---
+/// Field-list wrapper: a u64 stored as 8 fixed bytes.
+struct Fixed64 {
+  std::uint64_t& v;
+};
+inline Fixed64 fixed64(std::uint64_t& v) { return {v}; }
 
-void encode(Writer& w, const JoinInitPayload& v);
-bool decode(Reader& r, JoinInitPayload& v);
-void encode(Writer& w, const StartBuildPayload& v);
-bool decode(Reader& r, StartBuildPayload& v);
-void encode(Writer& w, const ChunkPayload& v);
-bool decode(Reader& r, ChunkPayload& v);
-void encode(Writer& w, const ForwardEndPayload& v);
-bool decode(Reader& r, ForwardEndPayload& v);
-void encode(Writer& w, const MemoryFullPayload& v);
-bool decode(Reader& r, MemoryFullPayload& v);
-void encode(Writer& w, const SplitRequestPayload& v);
-bool decode(Reader& r, SplitRequestPayload& v);
-void encode(Writer& w, const HandoffStartPayload& v);
-bool decode(Reader& r, HandoffStartPayload& v);
-void encode(Writer& w, const OpCompletePayload& v);
-bool decode(Reader& r, OpCompletePayload& v);
-void encode(Writer& w, const MapUpdatePayload& v);
-bool decode(Reader& r, MapUpdatePayload& v);
-void encode(Writer& w, const SourceDonePayload& v);
-bool decode(Reader& r, SourceDonePayload& v);
-void encode(Writer& w, const SourceProgressPayload& v);
-bool decode(Reader& r, SourceProgressPayload& v);
-void encode(Writer& w, const DrainProbePayload& v);
-bool decode(Reader& r, DrainProbePayload& v);
-void encode(Writer& w, const DrainAckPayload& v);
-bool decode(Reader& r, DrainAckPayload& v);
-void encode(Writer& w, const StartProbePayload& v);
-bool decode(Reader& r, StartProbePayload& v);
-void encode(Writer& w, const HistogramRequestPayload& v);
-bool decode(Reader& r, HistogramRequestPayload& v);
-void encode(Writer& w, const HistogramReplyPayload& v);
-bool decode(Reader& r, HistogramReplyPayload& v);
-void encode(Writer& w, const ReshuffleMovePayload& v);
-bool decode(Reader& r, ReshuffleMovePayload& v);
-void encode(Writer& w, const ReshuffleDonePayload& v);
-bool decode(Reader& r, ReshuffleDonePayload& v);
-void encode(Writer& w, const NodeReportPayload& v);
-bool decode(Reader& r, NodeReportPayload& v);
-void encode(Writer& w, const ResultChunkPayload& v);
-bool decode(Reader& r, ResultChunkPayload& v);
-void encode(Writer& w, const RecoveryFencePayload& v);
-bool decode(Reader& r, RecoveryFencePayload& v);
-void encode(Writer& w, const RangeResetPayload& v);
-bool decode(Reader& r, RangeResetPayload& v);
-void encode(Writer& w, const RangeResetAckPayload& v);
-bool decode(Reader& r, RangeResetAckPayload& v);
-void encode(Writer& w, const ReplayRequestPayload& v);
-bool decode(Reader& r, ReplayRequestPayload& v);
-void encode(Writer& w, const ReplayDonePayload& v);
-bool decode(Reader& r, ReplayDonePayload& v);
-void encode(Writer& w, const SchedulerSnapshotPayload& v);
-bool decode(Reader& r, SchedulerSnapshotPayload& v);
-void encode(Writer& w, const SchedulerHandoffPayload& v);
-bool decode(Reader& r, SchedulerHandoffPayload& v);
-void encode(Writer& w, const SchedulerHandoffAckPayload& v);
-bool decode(Reader& r, SchedulerHandoffAckPayload& v);
+/// Field-list wrapper: one byte whose decoded value must not exceed `max`.
+struct Bounded8 {
+  std::uint8_t& v;
+  std::uint8_t max;
+};
+inline Bounded8 bounded8(std::uint8_t& v, std::uint8_t max) {
+  return {v, max};
+}
+
+/// Largest discriminant of each enum on the wire (one byte each); Dec
+/// rejects anything above it.  serve/serve_wire.hpp declares its own.
+constexpr JoinRole wire_max(JoinRole) { return JoinRole::kReplica; }
+constexpr RelTag wire_max(RelTag) { return RelTag::kS; }
+constexpr DistKind wire_max(DistKind) { return DistKind::kSmallDomain; }
+constexpr Topology wire_max(Topology) { return Topology::kSharedBus; }
+constexpr KillRole wire_max(KillRole) { return KillRole::kScheduler; }
+constexpr Algorithm wire_max(Algorithm) { return Algorithm::kAdaptive; }
+constexpr NodePickPolicy wire_max(NodePickPolicy) {
+  return NodePickPolicy::kRoundRobin;
+}
+constexpr SplitVariant wire_max(SplitVariant) {
+  return SplitVariant::kLinearPointer;
+}
+constexpr DetectorKind wire_max(DetectorKind) {
+  return DetectorKind::kPhiAccrual;
+}
+constexpr IntraMode wire_max(IntraMode) { return IntraMode::kMerge; }
+
+/// Fewest bytes one vector element of type T encodes to; Dec checks a
+/// decoded count against the remaining bytes at this size before it
+/// allocates.
+template <typename T>
+inline constexpr std::size_t kMinWireBytes = 1;
+template <>
+inline constexpr std::size_t kMinWireBytes<PosRange> = 2;
+template <>
+inline constexpr std::size_t kMinWireBytes<PartitionMap::Entry> = 4;
+template <>
+inline constexpr std::size_t kMinWireBytes<KillSpec> = 11;
+
+/// Encoding archive: appends fields to a Writer.
+class Enc {
+ public:
+  explicit Enc(Writer& w) : w_(w) {}
+
+  /// Append each field in order.  Always true, so that a field list returns
+  /// the archive's verdict in either direction.
+  template <typename... Fs>
+  bool operator()(const Fs&... fs) {
+    (put(fs), ...);
+    return true;
+  }
+
+ private:
+  void put(bool v) { w_.u8(v ? 1 : 0); }
+  void put(std::int32_t v) { w_.zigzag(v); }
+  template <std::unsigned_integral T>
+  void put(T v) {
+    static_assert(sizeof(T) >= 4, "wrap a one-byte field in bounded8()");
+    w_.varint(v);
+  }
+  void put(double v) { w_.f64(v); }
+  template <typename E>
+    requires std::is_enum_v<E>
+  void put(E v) {
+    w_.u8(static_cast<std::uint8_t>(v));
+  }
+  void put(Fixed64 f) { w_.u64(f.v); }
+  void put(Bounded8 f) { w_.u8(f.v); }
+  void put(const std::string& s);
+  template <typename T>
+  void put(const std::vector<T>& v) {
+    w_.varint(v.size());
+    for (const T& x : v) put(x);
+  }
+  template <typename K, typename V>
+  void put(const std::map<K, V>& m) {
+    w_.varint(m.size());
+    for (const auto& [key, value] : m) {
+      put(key);
+      put(value);
+    }
+  }
+  template <typename T>
+  void put(const std::optional<T>& o) {
+    put(o.has_value());
+    if (o) put(*o);
+  }
+  // The hand-written layouts, and EhjaConfig, whose field list compiles
+  // once in wire.cpp although serve payloads nest it.
+  void put(const Chunk& v);
+  void put(const PartitionMap& v);
+  void put(const BinnedHistogram& v);
+  void put(const RelationSpec& v);
+  void put(const EhjaConfig& v);
+  template <typename T>
+    requires std::is_class_v<T>
+  void put(const T& v) {
+    // fields() takes T& so that one list serves both archives; Enc only
+    // reads through it.
+    fields(*this, const_cast<T&>(v));
+  }
+
+  Writer& w_;
+};
+
+/// Decoding archive: reads fields from a Reader, validating each one.
+class Dec {
+ public:
+  explicit Dec(Reader& r) : r_(r) {}
+
+  /// Read each field in order; false, with the reader failed, at the first
+  /// truncated or invalid one.
+  template <typename... Fs>
+  bool operator()(Fs&&... fs) {
+    return (get(fs) && ...);
+  }
+
+ private:
+  bool get(bool& v) {
+    const std::uint8_t b = r_.u8();
+    if (b > 1) r_.fail();  // a flipped bit is an error, not a coercion
+    v = b == 1;
+    return r_.ok();
+  }
+  bool get(std::int32_t& v) {
+    const std::int64_t x = r_.zigzag();
+    if (x < std::numeric_limits<std::int32_t>::min() ||
+        x > std::numeric_limits<std::int32_t>::max()) {
+      r_.fail();
+    }
+    v = static_cast<std::int32_t>(x);
+    return r_.ok();
+  }
+  template <std::unsigned_integral T>
+  bool get(T& v) {
+    static_assert(sizeof(T) >= 4, "wrap a one-byte field in bounded8()");
+    const std::uint64_t x = r_.varint();
+    if (x > std::numeric_limits<T>::max()) r_.fail();
+    v = static_cast<T>(x);
+    return r_.ok();
+  }
+  bool get(double& v) {
+    v = r_.f64();
+    return r_.ok();
+  }
+  template <typename E>
+    requires std::is_enum_v<E>
+  bool get(E& v) {
+    const std::uint8_t x = r_.u8();
+    if (x > static_cast<std::uint8_t>(wire_max(E{}))) r_.fail();
+    v = static_cast<E>(x);
+    return r_.ok();
+  }
+  bool get(Fixed64 f) {
+    f.v = r_.u64();
+    return r_.ok();
+  }
+  bool get(Bounded8 f) {
+    const std::uint8_t x = r_.u8();
+    if (x > f.max) r_.fail();
+    f.v = x;
+    return r_.ok();
+  }
+  bool get(std::string& s);
+  template <typename T>
+  bool get(std::vector<T>& v) {
+    const std::uint64_t count = r_.varint();
+    if (!r_.can_hold(count, kMinWireBytes<T>)) return false;
+    v.clear();
+    v.reserve(static_cast<std::size_t>(count));
+    for (std::uint64_t i = 0; i < count; ++i) {
+      if (!get(v.emplace_back())) return false;
+    }
+    return true;
+  }
+  template <typename K, typename V>
+  bool get(std::map<K, V>& m) {
+    const std::uint64_t count = r_.varint();
+    if (!r_.can_hold(count, 2)) return false;  // a key and a value each
+    m.clear();
+    for (std::uint64_t i = 0; i < count; ++i) {
+      K key{};
+      if (!get(key)) return false;
+      // std::map iterates in key order, so a valid encoding is strictly
+      // increasing; anything else is corruption.
+      if (!m.empty() && !(m.rbegin()->first < key)) {
+        r_.fail();
+        return false;
+      }
+      if (!get(m.emplace_hint(m.end(), key, V{})->second)) return false;
+    }
+    return true;
+  }
+  template <typename T>
+  bool get(std::optional<T>& o) {
+    bool present = false;
+    if (!get(present)) return false;
+    if (!present) {
+      o.reset();
+      return true;
+    }
+    return get(o.emplace());
+  }
+  bool get(Chunk& v);
+  bool get(PartitionMap& v);
+  bool get(BinnedHistogram& v);
+  bool get(RelationSpec& v);
+  bool get(EhjaConfig& v);
+  template <typename T>
+    requires std::is_class_v<T>
+  bool get(T& v) {
+    return fields(*this, v);
+  }
+
+  Reader& r_;
+};
 
 // --- message codec ---
 
 /// True when `tag` names a message of the protocol vocabulary.
 bool known_tag(int tag);
-/// True when messages with `tag` carry a payload (signals carry none).
+/// True when messages with `tag` carry a payload (false for signals and for
+/// unknown tags).
 bool tag_has_payload(Tag tag);
 
 /// Serialize (tag, from, wire_bytes, payload).  Aborts on a tag/payload

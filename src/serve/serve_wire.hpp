@@ -2,10 +2,12 @@
 //
 // These ride the same frame layer as the fleet protocol (net/wire.hpp:
 // magic, version, kind, CRC32) but cross a *trust boundary*: the peer may
-// be a newer build, a different tool, or garbage.  Every decoder here is
-// total -- truncation, bad lengths and unknown enum values return false,
-// never abort -- and the server pairs them with netio::try_next_frame so a
-// hostile byte stream costs one connection, not the process.
+// be a newer build, a different tool, or garbage.  Every payload is a plain
+// field list walked by net/wire.hpp's Enc/Dec archives, so every decoder
+// here is total -- truncation, bad lengths, unknown enum values and
+// out-of-range integers return false, never abort or wrap -- and the server
+// pairs them with netio::try_next_frame so a hostile byte stream costs one
+// connection, not the process.
 //
 // Conversation shape (client side in serve/client.hpp):
 //
@@ -54,6 +56,10 @@ enum class QueryState : std::uint8_t {
   kCancelled = 3,
   kUnknown = 4,
 };
+
+/// Largest discriminants on the wire (see wire::wire_max).
+constexpr RejectCode wire_max(RejectCode) { return RejectCode::kNoHello; }
+constexpr QueryState wire_max(QueryState) { return QueryState::kUnknown; }
 
 struct ClientHelloPayload {
   std::string tenant;
@@ -115,34 +121,71 @@ struct ShutdownNoticePayload {
   std::string message;
 };
 
-// Codecs: encode into a Writer, total decode from a Reader.  Decoders
-// verify they consumed the body exactly (r.ok() && r.remaining() == 0 is
-// the caller's contract here, folded in for convenience).
+// Field lists, in wire order (net/wire.hpp maps each field type to bytes;
+// strings are capped at wire::kMaxWireString).
 
-void encode(wire::Writer& w, const ClientHelloPayload& v);
-bool decode_payload(wire::Reader& r, ClientHelloPayload& v);
-void encode(wire::Writer& w, const ServerHelloPayload& v);
-bool decode_payload(wire::Reader& r, ServerHelloPayload& v);
-void encode(wire::Writer& w, const SubmitQueryPayload& v);
-bool decode_payload(wire::Reader& r, SubmitQueryPayload& v);
-void encode(wire::Writer& w, const QueryAcceptedPayload& v);
-bool decode_payload(wire::Reader& r, QueryAcceptedPayload& v);
-void encode(wire::Writer& w, const QueryRejectedPayload& v);
-bool decode_payload(wire::Reader& r, QueryRejectedPayload& v);
-void encode(wire::Writer& w, const QueryResultPayload& v);
-bool decode_payload(wire::Reader& r, QueryResultPayload& v);
-void encode(wire::Writer& w, const QueryStatusReqPayload& v);
-bool decode_payload(wire::Reader& r, QueryStatusReqPayload& v);
-void encode(wire::Writer& w, const QueryStatusPayload& v);
-bool decode_payload(wire::Reader& r, QueryStatusPayload& v);
-void encode(wire::Writer& w, const CancelQueryPayload& v);
-bool decode_payload(wire::Reader& r, CancelQueryPayload& v);
-void encode(wire::Writer& w, const ShutdownNoticePayload& v);
-bool decode_payload(wire::Reader& r, ShutdownNoticePayload& v);
+template <typename A>
+bool fields(A& a, ClientHelloPayload& v) {
+  return a(v.tenant);
+}
 
-/// Length-prefixed UTF-8-agnostic byte string (varint length + bytes),
-/// capped at 64 KiB so a corrupt length cannot demand gigabytes.
-void put_string(wire::Writer& w, const std::string& s);
-bool get_string(wire::Reader& r, std::string& s);
+template <typename A>
+bool fields(A& a, ServerHelloPayload& v) {
+  return a(v.ok, v.draining, v.message);
+}
+
+template <typename A>
+bool fields(A& a, SubmitQueryPayload& v) {
+  return a(v.client_seq, v.config);
+}
+
+template <typename A>
+bool fields(A& a, QueryAcceptedPayload& v) {
+  return a(v.client_seq, v.query_id, v.queue_position);
+}
+
+template <typename A>
+bool fields(A& a, QueryRejectedPayload& v) {
+  return a(v.client_seq, v.reason, v.retry_after_ms, v.message);
+}
+
+template <typename A>
+bool fields(A& a, QueryResultPayload& v) {
+  return a(v.query_id, v.matches, wire::fixed64(v.checksum), v.build_tuples,
+           v.probe_tuples, v.expansions, v.queue_sec, v.run_sec);
+}
+
+template <typename A>
+bool fields(A& a, QueryStatusReqPayload& v) {
+  return a(v.query_id);
+}
+
+template <typename A>
+bool fields(A& a, QueryStatusPayload& v) {
+  return a(v.query_id, v.state, v.queue_position);
+}
+
+template <typename A>
+bool fields(A& a, CancelQueryPayload& v) {
+  return a(v.query_id);
+}
+
+template <typename A>
+bool fields(A& a, ShutdownNoticePayload& v) {
+  return a(v.message);
+}
+
+/// Encode one payload as a frame body.
+template <typename Payload>
+void encode(wire::Writer& w, const Payload& v) {
+  wire::Enc{w}(v);
+}
+
+/// Decode a frame body into `v`: false unless the body holds exactly one
+/// valid payload (a trailing byte is as corrupt as a missing one).
+template <typename Payload>
+bool decode_payload(wire::Reader& r, Payload& v) {
+  return wire::Dec{r}(v) && r.remaining() == 0;
+}
 
 }  // namespace ehja::serve

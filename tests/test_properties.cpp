@@ -3,7 +3,10 @@
 // nodes x sources x chunk size).
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <tuple>
+#include <type_traits>
 
 #include "core/driver.hpp"
 #include "core/pipeline.hpp"
@@ -246,10 +249,18 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SeedSweep,
 // and each stage's output checksum equals the next stage's build-input
 // checksum (nothing is lost or invented at a hand-off).
 
+// gtest prints a parameter without operator<< as its raw bytes, and those
+// bytes end up in the test names. The seven bytes after `algorithm` are
+// therefore an explicit zeroed member, not padding: padding would carry
+// uninitialised stack bytes into the names, which then change per build.
 struct PipelineParam {
+  PipelineParam(Algorithm a, std::size_t s) : algorithm(a), stages(s) {}
   Algorithm algorithm;
+  std::array<std::uint8_t, 7> zero{};
   std::size_t stages;
 };
+static_assert(std::has_unique_object_representations_v<PipelineParam>,
+              "PipelineParam must have no padding bytes");
 
 PipelinePlan property_plan(const PipelineParam& p) {
   PipelinePlan plan;

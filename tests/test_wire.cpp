@@ -1,24 +1,35 @@
-// Wire-format tests (net/wire.hpp).
+// Wire-format tests (net/wire.hpp, serve/serve_wire.hpp).
 //
-// Two properties carry the suite:
+// Three properties carry the suite:
 //   1. Round-trip fidelity -- for every message tag in the protocol
-//      vocabulary (and for EhjaConfig and the frame layer), decode(encode(x))
-//      re-encodes to the identical byte string.  Byte-level comparison of the
-//      re-encoding is a deep structural equality that needs no operator== on
-//      payload structs and additionally proves the encoding is canonical.
-//   2. Decode totality -- truncated and bit-flipped input makes decoders
+//      vocabulary (and for EhjaConfig, the serve payloads and the frame
+//      layer), decode(encode(x)) re-encodes to the identical byte string.
+//      Byte-level comparison of the re-encoding is a deep structural
+//      equality that needs no operator== on payload structs and additionally
+//      proves the encoding is canonical.
+//   2. Pinned bytes -- a {size, crc32} table catches a change to the bytes
+//      themselves, which (1) cannot: a field reordered on both sides still
+//      round-trips.
+//   3. Decode totality -- truncated and bit-flipped input makes decoders
 //      return false (or FrameStatus::kError); it never aborts, never reads
 //      out of bounds (the CI asan job runs this file under ASan), and never
 //      allocates unbounded memory from a corrupt length field.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <iterator>
+#include <limits>
+#include <optional>
 #include <random>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/config.hpp"
 #include "core/messages.hpp"
 #include "net/wire.hpp"
+#include "serve/serve_wire.hpp"
 #include "util/units.hpp"
 
 namespace ehja {
@@ -106,6 +117,28 @@ TEST(WireCrc32, KnownVector) {
   const char* s = "123456789";
   EXPECT_EQ(wire::crc32(reinterpret_cast<const std::uint8_t*>(s), 9),
             0xCBF43926u);
+}
+
+// --- pinned bytes ---
+//
+// A deliberate format change bumps kWireVersion and re-records every pin in
+// this file in the same commit.
+static_assert(wire::kWireVersion == 6, "wire format changed: re-record pins");
+
+struct Pin {
+  std::size_t size;
+  std::uint32_t crc;
+};
+
+::testing::AssertionResult matches_pin(const std::vector<std::uint8_t>& bytes,
+                                       Pin pin) {
+  const std::uint32_t crc = wire::crc32(bytes.data(), bytes.size());
+  if (bytes.size() == pin.size && crc == pin.crc) {
+    return ::testing::AssertionSuccess();
+  }
+  std::ostringstream now;
+  now << "{" << bytes.size() << ", 0x" << std::hex << crc << "}";
+  return ::testing::AssertionFailure() << "bytes changed; now " << now.str();
 }
 
 // --- message catalogue: one Message per protocol tag ---
@@ -307,6 +340,46 @@ std::vector<Message> message_catalogue() {
   return all;
 }
 
+/// {size, crc32} of each message_catalogue() entry, in catalogue order.
+constexpr Pin kMessagePins[] = {
+    {9, 0x35870932},  // kJoinInit
+    {31, 0x4b96a60e},  // kStartBuild
+    {3, 0x15cc1f04},  // kGenSlice
+    {33, 0xf81ad9af},  // kDataChunk
+    {4, 0x1fee35c0},  // kForwardEnd
+    {10, 0x9b40b49c},  // kMemoryFull
+    {8, 0xb519d686},  // kSplitRequest
+    {5, 0x666dddb7},  // kHandoffStart
+    {6, 0x302fe226},  // kOpComplete
+    {3, 0xfdf30c2e},  // kRelief
+    {3, 0xfe77d840},  // kSwitchToSpill
+    {30, 0x942f5e5d},  // kMapUpdate
+    {13, 0xc10548bc},  // kSourceDone
+    {5, 0x8e857b83},  // kSourceProgress
+    {4, 0xf80751},  // kDrainProbe
+    {14, 0xefe2188},  // kDrainAck
+    {3, 0xaa86b010},  // kBuildComplete
+    {31, 0x448e9ecc},  // kStartProbe
+    {6, 0x52d215eb},  // kHistogramRequest
+    {17, 0xaf53f19},  // kHistogramReply
+    {15, 0x3dde5860},  // kReshuffleMove
+    {4, 0x84fa6dfd},  // kReshuffleDone
+    {3, 0x96468a42},  // kReportRequest
+    {24, 0x93babfd2},  // kNodeReport
+    {34, 0xd6b2b387},  // kResultChunk
+    {3, 0x837ad056},  // kPing
+    {3, 0x2c4b4b34},  // kPong
+    {3, 0x8473788a},  // kHeartbeatTick
+    {9, 0xa9bff57e},  // kRecoveryFence
+    {13, 0xba66ea9c},  // kRangeReset
+    {5, 0xfe609115},  // kRangeResetAck
+    {10, 0xffd60116},  // kReplayRequest
+    {11, 0x7d3722ea},  // kReplayDone
+    {164, 0xde16a222},  // kSchedulerSnapshot
+    {6, 0x9e36d9b9},  // kSchedulerHandoff
+    {17, 0xa7c4d62e},  // kSchedulerHandoffAck
+};
+
 std::vector<std::uint8_t> encode_one(const Message& m) {
   Writer w;
   wire::encode_message(m, w);
@@ -318,6 +391,8 @@ TEST(WireMessages, CatalogueCoversEveryTag) {
   std::vector<bool> seen(128, false);
   for (const Message& m : message_catalogue()) {
     EXPECT_TRUE(wire::known_tag(m.tag));
+    EXPECT_EQ(wire::tag_has_payload(static_cast<Tag>(m.tag)), m.has_payload())
+        << "tag " << m.tag;
     seen[static_cast<std::size_t>(m.tag)] = true;
   }
   for (int tag = 0; tag < 128; ++tag) {
@@ -327,9 +402,13 @@ TEST(WireMessages, CatalogueCoversEveryTag) {
 }
 
 TEST(WireMessages, RoundTripEveryMessage) {
-  for (const Message& original : message_catalogue()) {
+  const std::vector<Message> catalogue = message_catalogue();
+  ASSERT_EQ(catalogue.size(), std::size(kMessagePins));
+  for (std::size_t i = 0; i < catalogue.size(); ++i) {
+    const Message& original = catalogue[i];
     SCOPED_TRACE("tag " + std::to_string(original.tag));
     const std::vector<std::uint8_t> bytes = encode_one(original);
+    EXPECT_TRUE(matches_pin(bytes, kMessagePins[i]));
     Reader r(bytes);
     Message decoded;
     ASSERT_TRUE(wire::decode_message(r, decoded));
@@ -535,21 +614,26 @@ EhjaConfig sample_config() {
   return c;
 }
 
+std::vector<std::uint8_t> config_bytes(const EhjaConfig& config) {
+  Writer w;
+  wire::encode_config(config, w);
+  return w.take();
+}
+
+constexpr Pin kSampleConfigPin = {155294, 0xbc2cf985};
+constexpr Pin kDefaultConfigPin = {290, 0x2a2a05c3};
+
 TEST(WireConfig, RoundTripReencodesIdentically) {
   const EhjaConfig original = sample_config();
-  Writer w;
-  wire::encode_config(original, w);
-  const auto bytes = w.take();
+  const auto bytes = config_bytes(original);
+  EXPECT_TRUE(matches_pin(bytes, kSampleConfigPin));
 
   Reader r(bytes);
   EhjaConfig decoded;
   ASSERT_TRUE(wire::decode_config(r, decoded));
   EXPECT_EQ(r.remaining(), 0u);
   EXPECT_EQ(decoded.trace, nullptr);  // trace sink never crosses processes
-
-  Writer w2;
-  wire::encode_config(decoded, w2);
-  EXPECT_EQ(w2.data(), bytes);
+  EXPECT_EQ(config_bytes(decoded), bytes);
 
   // Spot-check fields the run actually branches on.
   EXPECT_EQ(decoded.algorithm, Algorithm::kAdaptive);
@@ -571,17 +655,201 @@ TEST(WireConfig, RoundTripReencodesIdentically) {
   EXPECT_EQ(decoded.build_rel.data->source_checksum, 0x1122334455667788ull);
   EXPECT_EQ(decoded.build_rel.data->rows, original.build_rel.data->rows);
   EXPECT_EQ(decoded.probe_rel.data, nullptr);
+
+  // The default config, which most runs ship.
+  const auto defaults = config_bytes(EhjaConfig{});
+  EXPECT_TRUE(matches_pin(defaults, kDefaultConfigPin));
+  Reader rd(defaults);
+  EhjaConfig back;
+  ASSERT_TRUE(wire::decode_config(rd, back));
+  EXPECT_EQ(rd.remaining(), 0u);
+  EXPECT_EQ(config_bytes(back), defaults);
 }
 
 TEST(WireConfig, TruncationNeverCrashes) {
-  Writer w;
-  wire::encode_config(sample_config(), w);
-  const auto bytes = w.take();
+  const auto bytes = config_bytes(sample_config());
   for (std::size_t len = 0; len < bytes.size(); ++len) {
     Reader r(bytes.data(), len);
     EhjaConfig out;
     (void)wire::decode_config(r, out);  // false or partial -- never UB
   }
+}
+
+// --- serve payloads (serve/serve_wire.hpp) ---
+//
+// The client protocol crosses a trust boundary, so each payload gets the
+// message catalogue's treatment -- canonical round trip and pinned bytes --
+// and, because decode_payload demands the whole frame body, a clean false
+// at every truncation and on a trailing byte.
+
+struct ServeCase {
+  std::string name;
+  std::vector<std::uint8_t> bytes;
+  Pin pin;
+  /// Decodes [data, data + size) and re-encodes the result; nullopt when
+  /// the decoder rejects the input.
+  std::function<std::optional<std::vector<std::uint8_t>>(
+      const std::uint8_t* data, std::size_t size)>
+      reencode;
+};
+
+template <typename T>
+ServeCase serve_case(std::string name, const T& payload, Pin pin) {
+  Writer w;
+  serve::encode(w, payload);
+  auto reencode = [](const std::uint8_t* data, std::size_t size)
+      -> std::optional<std::vector<std::uint8_t>> {
+    Reader r(data, size);
+    T decoded;
+    if (!serve::decode_payload(r, decoded)) return std::nullopt;
+    Writer again;
+    serve::encode(again, decoded);
+    return again.take();
+  };
+  return {std::move(name), w.take(), pin, reencode};
+}
+
+/// A client-submitted query: small and without materialized rows, like
+/// the ones ehja_client sends.
+EhjaConfig submitted_config() {
+  EhjaConfig c;
+  c.data_sources = 1;
+  c.initial_join_nodes = 1;
+  c.join_pool_nodes = 2;
+  c.build_rel.tuple_count = 8'000;
+  c.probe_rel.tuple_count = 8'000;
+  c.probe_rel.dist = DistributionSpec::SmallDomain(4096);
+  c.seed = 77;
+  return c;
+}
+
+std::vector<ServeCase> serve_catalogue() {
+  using namespace serve;
+  std::vector<ServeCase> all;
+  all.push_back(serve_case("ClientHello", ClientHelloPayload{"alpha"},
+                           {6, 0xf7cdfe67}));
+  all.push_back(serve_case("ServerHello",
+                           ServerHelloPayload{true, true, "draining"},
+                           {11, 0x3298c3c7}));
+  all.push_back(serve_case("SubmitQuery",
+                           SubmitQueryPayload{42, submitted_config()},
+                           {286, 0x50b3fc1d}));
+  all.push_back(serve_case("QueryAccepted", QueryAcceptedPayload{42, 7, 3},
+                           {3, 0x1cd3dd59}));
+  all.push_back(serve_case(
+      "QueryRejected",
+      QueryRejectedPayload{43, RejectCode::kNoHello, 250, "submit first"},
+      {17, 0x9d5fdea}));
+  all.push_back(serve_case("QueryResult",
+                           QueryResultPayload{7, 1234, 0xfeedfacecafebeefull,
+                                              8000, 8000, 2, 0.125, 0.5},
+                           {32, 0xba044d22}));
+  all.push_back(serve_case("QueryStatusReq", QueryStatusReqPayload{7},
+                           {1, 0x4c667a2e}));
+  all.push_back(serve_case("QueryStatus",
+                           QueryStatusPayload{7, QueryState::kCancelled, 4},
+                           {3, 0xd64e584d}));
+  all.push_back(serve_case("CancelQuery", CancelQueryPayload{7},
+                           {1, 0x4c667a2e}));
+  all.push_back(serve_case("ShutdownNotice", ShutdownNoticePayload{"bye"},
+                           {4, 0xbb8738d4}));
+  return all;
+}
+
+TEST(ServeWire, RoundTripEveryPayload) {
+  for (const ServeCase& c : serve_catalogue()) {
+    SCOPED_TRACE(c.name);
+    EXPECT_TRUE(matches_pin(c.bytes, c.pin));
+    const auto again = c.reencode(c.bytes.data(), c.bytes.size());
+    ASSERT_TRUE(again.has_value());
+    EXPECT_EQ(*again, c.bytes);
+  }
+}
+
+TEST(ServeWire, TruncatedOrPaddedBodiesAreRejected) {
+  for (const ServeCase& c : serve_catalogue()) {
+    SCOPED_TRACE(c.name);
+    for (std::size_t len = 0; len < c.bytes.size(); ++len) {
+      EXPECT_FALSE(c.reencode(c.bytes.data(), len).has_value())
+          << "a " << len << "-byte prefix decoded";
+    }
+    std::vector<std::uint8_t> padded = c.bytes;
+    padded.push_back(0);
+    EXPECT_FALSE(c.reencode(padded.data(), padded.size()).has_value());
+  }
+}
+
+// A u32 field must reject a varint above 2^32 - 1 rather than truncate it
+// (2^32 + 5 would decode as 5).  Each body is written by hand so that the
+// out-of-range value reaches the decoder.
+
+constexpr std::uint64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
+constexpr std::uint64_t kU32Overflow = (1ull << 32) + 5;
+
+template <typename T>
+std::optional<T> decode_body(const Writer& w) {
+  Reader r(w.data());
+  T out;
+  if (!serve::decode_payload(r, out)) return std::nullopt;
+  return out;
+}
+
+TEST(ServeWire, AcceptedQueuePositionRejectsU32Overflow) {
+  auto decode = [](std::uint64_t queue_position) {
+    Writer w;
+    w.varint(42);  // client_seq
+    w.varint(7);   // query_id
+    w.varint(queue_position);
+    return decode_body<serve::QueryAcceptedPayload>(w);
+  };
+  ASSERT_TRUE(decode(kU32Max).has_value());
+  EXPECT_EQ(decode(kU32Max)->queue_position, kU32Max);
+  EXPECT_FALSE(decode(kU32Overflow).has_value());
+}
+
+TEST(ServeWire, RejectedRetryAfterRejectsU32Overflow) {
+  auto decode = [](std::uint64_t retry_after_ms) {
+    Writer w;
+    w.varint(43);  // client_seq
+    w.u8(static_cast<std::uint8_t>(serve::RejectCode::kQueueFull));
+    w.varint(retry_after_ms);
+    w.varint(0);  // empty message
+    return decode_body<serve::QueryRejectedPayload>(w);
+  };
+  ASSERT_TRUE(decode(kU32Max).has_value());
+  EXPECT_EQ(decode(kU32Max)->retry_after_ms, kU32Max);
+  EXPECT_FALSE(decode(kU32Overflow).has_value());
+}
+
+TEST(ServeWire, ResultExpansionsRejectsU32Overflow) {
+  auto decode = [](std::uint64_t expansions) {
+    Writer w;
+    w.varint(7);        // query_id
+    w.varint(1234);     // matches
+    w.u64(0xfeedface);  // checksum
+    w.varint(8000);     // build_tuples
+    w.varint(8000);     // probe_tuples
+    w.varint(expansions);
+    w.f64(0.125);  // queue_sec
+    w.f64(0.5);    // run_sec
+    return decode_body<serve::QueryResultPayload>(w);
+  };
+  ASSERT_TRUE(decode(kU32Max).has_value());
+  EXPECT_EQ(decode(kU32Max)->expansions, kU32Max);
+  EXPECT_FALSE(decode(kU32Overflow).has_value());
+}
+
+TEST(ServeWire, StatusQueuePositionRejectsU32Overflow) {
+  auto decode = [](std::uint64_t queue_position) {
+    Writer w;
+    w.varint(7);  // query_id
+    w.u8(static_cast<std::uint8_t>(serve::QueryState::kQueued));
+    w.varint(queue_position);
+    return decode_body<serve::QueryStatusPayload>(w);
+  };
+  ASSERT_TRUE(decode(kU32Max).has_value());
+  EXPECT_EQ(decode(kU32Max)->queue_position, kU32Max);
+  EXPECT_FALSE(decode(kU32Overflow).has_value());
 }
 
 // --- frame layer ---
