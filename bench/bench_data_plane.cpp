@@ -8,14 +8,10 @@
 // Results go to a JSON file (default BENCH_data_plane.json) so the perf
 // trajectory is tracked in-repo; CI runs `--smoke` on a small workload and
 // fails the job when the batched path regresses below scalar (exit 1).
-//
-// The `intra` section sweeps NodeTable over --intra-threads x {shared,
-// merge} on the uniform workload (tuples/sec for build and probe at each
-// point, plus `host_cores`): the thread-scaling record behind DESIGN.md
-// §11.  Every swept point must reproduce the single-thread matches and
-// checksum exactly or the bench aborts.  Scaling numbers are only
-// meaningful relative to `host_cores` -- tools/check_bench.py skips intra
-// comparisons across hosts with different core counts.
+// `host_cores` is recorded because absolute tuples/sec only compare on
+// like hosts (tools/check_bench.py skips them across core counts).
+// Intra-node thread scaling is measured by perfbench's
+// hash.intra_build_speedup, not here.
 //
 // Usage: bench_data_plane [--smoke] [--out=PATH]
 #include <algorithm>
@@ -31,7 +27,6 @@
 #include <vector>
 
 #include "core/driver.hpp"
-#include "core/node_table.hpp"
 #include "hash/local_hash_table.hpp"
 #include "relation/tuple_batch.hpp"
 #include "util/rng.hpp"
@@ -182,54 +177,6 @@ Throughput bench_probe(const Workload& build, const Workload& probe,
   return out;
 }
 
-/// One intra-threads sweep point: NodeTable build/probe throughput at a
-/// given lane count and build discipline.
-struct IntraPoint {
-  double build_tps = 0;
-  double probe_tps = 0;
-  std::uint64_t matches = 0;
-  std::uint64_t checksum = 0;
-};
-
-IntraPoint bench_intra(const Workload& build, const Workload& probe,
-                       std::uint32_t threads, IntraMode mode, int reps) {
-  const Schema schema;
-  const PosRange range{0, kPositionCount};
-  const auto median = [](std::vector<double>& v) {
-    std::sort(v.begin(), v.end());
-    return v[v.size() / 2];
-  };
-  IntraPoint out;
-  std::vector<double> times;
-  for (int r = 0; r < reps; ++r) {
-    NodeTable table(schema, range, threads, mode);
-    const double t0 = now_sec();
-    for (const TupleBatch& chunk : build.chunks) table.insert_batch(chunk);
-    times.push_back(now_sec() - t0);
-  }
-  out.build_tps = static_cast<double>(build.rows.size()) / median(times);
-
-  NodeTable table(schema, range, threads, mode);
-  for (const TupleBatch& chunk : build.chunks) table.insert_batch(chunk);
-  // Warm the lazy key index outside the timed region.
-  (void)table.probe(probe.rows.front());
-  times.clear();
-  for (int r = 0; r < reps; ++r) {
-    std::uint64_t matches = 0, checksum = 0;
-    const double t0 = now_sec();
-    for (const TupleBatch& chunk : probe.chunks) {
-      const auto agg = table.probe_batch(chunk);
-      matches += agg.matches;
-      checksum += agg.checksum_delta;
-    }
-    times.push_back(now_sec() - t0);
-    out.matches = matches;
-    out.checksum = checksum;
-  }
-  out.probe_tps = static_cast<double>(probe.rows.size()) / median(times);
-  return out;
-}
-
 struct EndToEnd {
   std::string name;
   double wall_sec = 0;
@@ -295,29 +242,7 @@ int main(int argc, char** argv) {
   const Throughput up = bench_probe(uniform, uniform_probe, reps);
   const Throughput sb = bench_build(skewed, reps);
   const Throughput sp = bench_probe(skewed, skewed_probe, reps);
-
-  // Intra-node thread-scaling sweep (uniform workload).  Every point must
-  // reproduce the 1-thread matches/checksum bit for bit.
-  const std::vector<std::uint32_t> intra_threads = {1, 2, 4, 8};
-  const int intra_reps = smoke ? 3 : 5;
   const unsigned host_cores = std::max(1u, std::thread::hardware_concurrency());
-  std::vector<IntraPoint> intra_shared, intra_merge;
-  for (const std::uint32_t t : intra_threads) {
-    intra_shared.push_back(
-        bench_intra(uniform, uniform_probe, t, IntraMode::kShared, intra_reps));
-    intra_merge.push_back(
-        bench_intra(uniform, uniform_probe, t, IntraMode::kMerge, intra_reps));
-  }
-  for (std::size_t i = 0; i < intra_threads.size(); ++i) {
-    for (const auto* pts : {&intra_shared, &intra_merge}) {
-      if ((*pts)[i].matches != intra_shared[0].matches ||
-          (*pts)[i].checksum != intra_shared[0].checksum) {
-        std::cerr << "FATAL: intra-threads=" << intra_threads[i]
-                  << " results diverged from single-thread\n";
-        return 2;
-      }
-    }
-  }
 
   std::ofstream os(out_path);
   os << "{\n  \"bench\": \"data_plane\",\n";
@@ -330,26 +255,6 @@ int main(int argc, char** argv) {
   os << "  },\n  \"skewed\": {\n";
   write_throughput(os, "build", sb, false);
   write_throughput(os, "probe", sp, true);
-  os << "  },\n  \"intra\": {\n    \"threads\": [";
-  for (std::size_t i = 0; i < intra_threads.size(); ++i) {
-    os << intra_threads[i] << (i + 1 < intra_threads.size() ? ", " : "");
-  }
-  os << "],\n";
-  const auto write_intra = [&](const char* key,
-                               const std::vector<IntraPoint>& pts,
-                               bool last) {
-    os << "    \"" << key << "\": {\"build_tps\": [";
-    for (std::size_t i = 0; i < pts.size(); ++i) {
-      os << std::llround(pts[i].build_tps) << (i + 1 < pts.size() ? ", " : "");
-    }
-    os << "], \"probe_tps\": [";
-    for (std::size_t i = 0; i < pts.size(); ++i) {
-      os << std::llround(pts[i].probe_tps) << (i + 1 < pts.size() ? ", " : "");
-    }
-    os << "]}" << (last ? "\n" : ",\n");
-  };
-  write_intra("shared", intra_shared, false);
-  write_intra("merge", intra_merge, true);
   os << "  },\n  \"end_to_end\": {\n";
   constexpr Algorithm kAll[] = {Algorithm::kSplit, Algorithm::kReplicate,
                                 Algorithm::kHybrid, Algorithm::kOutOfCore,
@@ -375,14 +280,6 @@ int main(int argc, char** argv) {
   std::cout << "skewed  probe: scalar " << std::llround(sp.scalar_tps)
             << " t/s, batched " << std::llround(sp.batched_tps)
             << " t/s (x" << sp.speedup() << ")\n";
-  std::cout << "intra (" << host_cores << " host cores):\n";
-  for (std::size_t i = 0; i < intra_threads.size(); ++i) {
-    std::cout << "  t=" << intra_threads[i] << " shared build "
-              << std::llround(intra_shared[i].build_tps) << " t/s, probe "
-              << std::llround(intra_shared[i].probe_tps) << " t/s | merge build "
-              << std::llround(intra_merge[i].build_tps) << " t/s, probe "
-              << std::llround(intra_merge[i].probe_tps) << " t/s\n";
-  }
   std::cout << "wrote " << out_path << "\n";
 
   // CI gate: the batched path must not regress below tuple-at-a-time.

@@ -28,8 +28,8 @@
 //   --standby                 run a standby scheduler
 //   --net-jitter=SEC          uniform extra per-message delivery delay
 //   --net-drop-prob=P         per-message drop-with-redelivery probability
-//   --intra-threads=N         worker threads per join process (default 1)
-//   --intra-mode=shared|merge concurrent-table build discipline
+//   --intra-threads=N         worker threads per join process, sharing its
+//                             partition table (default 1)
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -47,7 +47,6 @@ struct FaultFlags {
   double net_jitter_sec = 0.0;
   double net_drop_prob = 0.0;
   std::uint32_t intra_threads = 1;
-  ehja::IntraMode intra_mode = ehja::IntraMode::kShared;
 };
 
 struct Outcome {
@@ -74,7 +73,6 @@ Outcome run_one(ehja::Algorithm algorithm, const ehja::DistributionSpec& dist,
   config.link.fault_jitter_sec = flags.net_jitter_sec;
   config.link.fault_drop_prob = flags.net_drop_prob;
   config.intra_threads = flags.intra_threads;
-  config.intra_mode = flags.intra_mode;
   const RunResult result = run_ehja(config);
   Outcome outcome;
   outcome.algorithm = algorithm;
@@ -143,14 +141,6 @@ FaultFlags parse_fault_flags(int argc, char** argv) {
         std::exit(2);
       }
       flags.intra_threads = static_cast<std::uint32_t>(threads);
-    } else if (match_flag(argv[i], "--intra-mode", &value)) {
-      if (value == "shared") flags.intra_mode = ehja::IntraMode::kShared;
-      else if (value == "merge") flags.intra_mode = ehja::IntraMode::kMerge;
-      else {
-        std::fprintf(stderr, "skew_explorer: unknown intra mode %s\n",
-                     value.c_str());
-        std::exit(2);
-      }
     } else if (std::strcmp(argv[i], "--standby") == 0) {
       flags.ft.standby_scheduler = true;
     } else {

@@ -159,9 +159,7 @@ std::string EhjaConfig::to_string() const {
      << " tuple=" << build_rel.schema.tuple_bytes << "B"
      << " mem=" << node_hash_memory_bytes / kMiB << "MiB"
      << " dist=" << build_rel.dist.to_string();
-  if (intra_threads > 1) {
-    os << " intra=" << intra_threads << "/" << intra_mode_name(intra_mode);
-  }
+  if (intra_threads > 1) os << " intra=" << intra_threads;
   if (capture_output) os << " capture=on stage=" << pipeline_stage;
   if (recovery_enabled()) {
     os << " ft=on kills=" << faults.kills.size()

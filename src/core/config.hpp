@@ -9,7 +9,6 @@
 #include "cluster/cluster_spec.hpp"
 #include "cluster/resource_pool.hpp"
 #include "hash/hash_family.hpp"
-#include "hash/intra_mode.hpp"
 #include "trace/trace.hpp"
 #include "workload/generator.hpp"
 
@@ -180,13 +179,11 @@ struct EhjaConfig {
   SplitVariant split_variant = SplitVariant::kRequesterMidpoint;
 
   /// Worker threads *inside* each join process driving its partition table
-  /// (DESIGN.md §11).  1 = the historical single-threaded data plane
-  /// (scalar LocalHashTable, zero overhead); >1 fans each TupleBatch across
-  /// an intra-node pool over a shared ConcurrentKeyIndex.  Join results are
+  /// (DESIGN.md §11).  1 = the historical single-threaded data plane; >1
+  /// fans each large TupleBatch across an intra-node pool whose lanes share
+  /// the node's one LocalHashTable.  The table, and so the join result, is
   /// identical at any setting on every runtime.
   std::uint32_t intra_threads = 1;
-  /// Build discipline for the shared table when intra_threads > 1.
-  IntraMode intra_mode = IntraMode::kShared;
 
   /// Histogram-balanced initial partitioning (extension; the ss3 related
   /// work's frequency-based redistribution idea applied *up front*): the

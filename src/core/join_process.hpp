@@ -110,8 +110,8 @@ class JoinProcessActor final : public Actor {
 
   JoinRole role_ = JoinRole::kInitial;
   PosRange range_;
-  /// Partition table; scalar at intra_threads == 1, intra-node parallel
-  /// otherwise (core/node_table.hpp).
+  /// Partition table; its lanes fan out large batches when
+  /// intra_threads > 1 (core/node_table.hpp).
   std::optional<NodeTable> table_;
   std::optional<HybridHashSpiller> spiller_;
 

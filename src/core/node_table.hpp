@@ -1,21 +1,24 @@
 // NodeTable: the join process's partition table with optional intra-node
 // parallelism.
 //
-// A thin dispatcher in front of the two table implementations.  With
-// intra_threads == 1 it holds the scalar LocalHashTable -- the historical
-// single-threaded path, byte for byte, with zero added indirection on the
-// hot loops.  With intra_threads > 1 it holds a ConcurrentKeyIndex plus an
-// IntraPool and fans insert_batch / probe_batch out across the pool's lanes
-// (DESIGN.md §11), in the build discipline picked by IntraMode.
+// One LocalHashTable at every thread count.  With intra_threads == 1 every
+// call goes straight to it -- the historical single-threaded path, byte for
+// byte.  With intra_threads > 1 an IntraPool fans insert_batch and
+// probe_batch out across its lanes (DESIGN.md §11):
 //
-// Determinism contract: probe results are per-lane BatchProbeResults summed
-// in lane order; since every field is a commutative sum over rows, the
-// aggregate equals the serial result exactly -- sim, thread and socket runs
-// stay byte-identical to the serial oracle at any thread count.  Everything
-// outside the two fan-out calls (extract_range, set_range, histogram,
-// clear, scalar insert/probe) stays serial: those run in actor context with
-// no parallel region in flight, which is precisely what lets the concurrent
-// table do its capacity growth and index rebuilds with plain bookkeeping.
+//   * build: claim() the batch's slab segment, let each lane link() the
+//     rows of one contiguous position sub-range, commit().  Lanes write
+//     disjoint chains and slab entries, and per position the rows are
+//     linked in batch order, so the table equals the serial one bit for
+//     bit -- extract_range, migration and reshuffle see the same order at
+//     every thread count;
+//   * probe: ensure_index(), then each lane probes one row slice.  The
+//     per-lane results are summed and the per-lane captured rows
+//     concatenated in lane order, so the aggregate equals the serial result
+//     exactly and the captured run is deterministic.
+//
+// Everything else (extract_range, set_range, histogram) stays serial: it
+// runs in actor context with no parallel region in flight.
 //
 // Small batches skip the fan-out entirely (kMinRowsPerLane): waking the
 // pool for a few hundred rows costs more than the rows do, and the tail
@@ -29,98 +32,66 @@
 #include <optional>
 #include <vector>
 
-#include "hash/concurrent_key_index.hpp"
-#include "hash/intra_mode.hpp"
 #include "hash/local_hash_table.hpp"
 #include "runtime/intra_pool.hpp"
 
 namespace ehja {
 
+/// How intra-node lanes cooperate on the node's table: kShared, they share
+/// its one LocalHashTable.  The only value; callers may still name it as
+/// NodeTable's last constructor argument.
+enum class IntraMode : std::uint8_t {
+  kShared = 0,
+};
+
 class NodeTable {
  public:
-  using ProbeResult = LocalHashTable::ProbeResult;
   using BatchProbeResult = LocalHashTable::BatchProbeResult;
 
   /// Below this many rows per lane the fan-out is pure overhead and the
-  /// batch goes through the serial path of whichever table is live.
+  /// batch goes through the serial path.
   static constexpr std::size_t kMinRowsPerLane = 256;
 
   NodeTable(Schema schema, PosRange range, std::uint32_t intra_threads,
-            IntraMode intra_mode)
-      : mode_(intra_mode) {
-    if (intra_threads <= 1) {
-      scalar_.emplace(schema, range);
-    } else {
-      par_.emplace(schema, range);
-      pool_.emplace(intra_threads);
-    }
+            IntraMode = IntraMode::kShared)
+      : table_(schema, range) {
+    if (intra_threads > 1) pool_.emplace(intra_threads);
   }
 
-  const PosRange& range() const {
-    return scalar_ ? scalar_->range() : par_->range();
-  }
-  const Schema& schema() const {
-    return scalar_ ? scalar_->schema() : par_->schema();
-  }
-  std::uint64_t tuple_count() const {
-    return scalar_ ? scalar_->tuple_count() : par_->tuple_count();
-  }
-  std::uint64_t footprint_bytes() const {
-    return scalar_ ? scalar_->footprint_bytes() : par_->footprint_bytes();
-  }
-  bool empty() const { return tuple_count() == 0; }
-
-  void insert(const Tuple& t) {
-    scalar_ ? scalar_->insert(t) : par_->insert(t);
-  }
+  const PosRange& range() const { return table_.range(); }
+  std::uint64_t tuple_count() const { return table_.tuple_count(); }
+  std::uint64_t footprint_bytes() const { return table_.footprint_bytes(); }
 
   void insert_batch(const TupleBatch& batch) {
-    if (scalar_) {
-      scalar_->insert_batch(batch);
+    const unsigned lanes = lanes_for(batch.size());
+    if (lanes == 1) {
+      table_.insert_batch(batch);
       return;
     }
-    const std::size_t n = batch.size();
-    const unsigned lanes = pool_->threads();
-    if (n < kMinRowsPerLane * lanes) {
-      par_->insert_batch(batch);
-      return;
-    }
-    if (mode_ == IntraMode::kMerge) {
-      par_->begin_merge(batch, lanes);
-      pool_->run([&](unsigned t) { par_->scatter_rows(batch, t, lanes); });
-      pool_->run([&](unsigned t) { par_->merge_subrange(batch, t, lanes); });
-      par_->finish_merge(batch);
-    } else {
-      par_->reserve_rows(n);
-      pool_->run([&](unsigned t) {
-        const auto [begin, end] = IntraPool::slice(n, lanes, t);
-        par_->insert_rows(batch, begin, end);
-      });
-    }
-  }
-
-  ProbeResult probe(const Tuple& s, std::vector<Tuple>* sink = nullptr) {
-    return scalar_ ? scalar_->probe(s, sink) : par_->probe(s, sink);
+    const std::size_t base = table_.claim(batch);
+    const PosRange& range = table_.range();
+    pool_->run([&](unsigned t) {
+      const auto [lo, hi] = IntraPool::slice(range.width(), lanes, t);
+      table_.link(batch, base, PosRange{range.lo + lo, range.lo + hi});
+    });
+    table_.commit(batch);
   }
 
   /// `sink`, when non-null, receives one Tuple{build_row_id, probe_row_id}
-  /// per match.  The parallel path captures into per-lane vectors and
-  /// concatenates them in lane order, so the appended run is deterministic
-  /// for a given batch at any thread count (a row's matches stay in that
-  /// row's lane and lanes cover rows in order).
+  /// per match, in the same order at every thread count for a given batch
+  /// (a row's matches stay in that row's lane and lanes cover rows in
+  /// order).
   BatchProbeResult probe_batch(const TupleBatch& batch,
                                std::vector<Tuple>* sink = nullptr) {
-    if (scalar_) return scalar_->probe_batch(batch, sink);
-    const std::size_t n = batch.size();
-    const unsigned lanes = pool_->threads();
-    if (n < kMinRowsPerLane * lanes) return par_->probe_batch(batch, sink);
-    if (!par_->empty()) par_->ensure_index();
+    const unsigned lanes = lanes_for(batch.size());
+    if (lanes == 1) return table_.probe_batch(batch, sink);
+    table_.ensure_index();
     std::vector<BatchProbeResult> per_lane(lanes);
     std::vector<std::vector<Tuple>> lane_rows(sink ? lanes : 0);
     pool_->run([&](unsigned t) {
-      const auto [begin, end] = IntraPool::slice(n, lanes, t);
-      per_lane[t] = par_->probe_rows(batch, begin, end,
-                                     sink ? &lane_rows[t] : nullptr);
+      const auto [begin, end] = IntraPool::slice(batch.size(), lanes, t);
+      per_lane[t] = table_.probe_rows(batch, begin, end,
+                                      sink ? &lane_rows[t] : nullptr);
     });
     BatchProbeResult agg;
     for (const BatchProbeResult& r : per_lane) {
@@ -138,23 +109,21 @@ class NodeTable {
   }
 
   std::vector<Tuple> extract_range(const PosRange& sub) {
-    return scalar_ ? scalar_->extract_range(sub) : par_->extract_range(sub);
+    return table_.extract_range(sub);
   }
-
-  void set_range(const PosRange& next) {
-    scalar_ ? scalar_->set_range(next) : par_->set_range(next);
-  }
-
+  void set_range(const PosRange& next) { table_.set_range(next); }
   BinnedHistogram histogram(std::size_t bins) const {
-    return scalar_ ? scalar_->histogram(bins) : par_->histogram(bins);
+    return table_.histogram(bins);
   }
-
-  void clear() { scalar_ ? scalar_->clear() : par_->clear(); }
 
  private:
-  IntraMode mode_;
-  std::optional<LocalHashTable> scalar_;
-  std::optional<ConcurrentKeyIndex> par_;
+  /// Lanes to fan `rows` out to: 1 without a pool or below the cutoff.
+  unsigned lanes_for(std::size_t rows) const {
+    if (!pool_ || rows < kMinRowsPerLane * pool_->threads()) return 1;
+    return pool_->threads();
+  }
+
+  LocalHashTable table_;
   std::optional<IntraPool> pool_;
 };
 

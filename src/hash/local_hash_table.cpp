@@ -41,6 +41,23 @@ std::size_t next_pow2(std::size_t n) {
 /// a short software pipeline hides most of that latency.
 constexpr std::size_t kPrefetchAhead = 16;
 
+/// Abort unless every position of `batch` lies in `range`.  One branchless
+/// (vectorizable) scan at batch granularity, so the insert loops carry no
+/// per-row range check.  The abort semantics match the scalar path -- the
+/// process dies either way, and partial mutation is unobservable past an
+/// abort.
+void check_positions(const TupleBatch& batch, const PosRange& range) {
+  const std::size_t n = batch.size();
+  const std::uint32_t* positions = batch.positions().data();
+  const std::uint32_t vlo = static_cast<std::uint32_t>(range.lo);
+  const std::uint32_t vwidth = static_cast<std::uint32_t>(range.width());
+  std::uint32_t bad = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    bad |= static_cast<std::uint32_t>(positions[i] - vlo >= vwidth);
+  }
+  EHJA_CHECK_MSG(bad == 0, "insert outside owned range");
+}
+
 }  // namespace
 
 LocalHashTable::LocalHashTable(Schema schema, PosRange range)
@@ -68,19 +85,7 @@ void LocalHashTable::insert_batch(const TupleBatch& batch) {
   const std::uint64_t* keys = batch.keys().data();
   const std::uint64_t* ids = batch.ids().data();
   const std::uint32_t* positions = batch.positions().data();
-  // Validate once at batch granularity with a branchless (vectorizable)
-  // scan: the hot loop then carries no per-row range check.  The abort
-  // semantics match the scalar path -- the process dies either way, and
-  // partial mutation is unobservable past an abort.
-  {
-    const std::uint32_t vlo = static_cast<std::uint32_t>(range_.lo);
-    const std::uint32_t vwidth = static_cast<std::uint32_t>(range_.width());
-    std::uint32_t bad = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      bad |= static_cast<std::uint32_t>(positions[i] - vlo >= vwidth);
-    }
-    EHJA_CHECK_MSG(bad == 0, "insert outside owned range");
-  }
+  check_positions(batch, range_);
   // Claim the whole slab segment up front: entry e for row i is base + i,
   // written through a raw pointer so the hot loop carries no capacity
   // checks.  Chain heads are touched with write-intent prefetch -- the
@@ -122,8 +127,64 @@ void LocalHashTable::insert_batch(const TupleBatch& batch) {
       index_insert(e);
     }
   }
-  tuple_count_ += n;
-  footprint_bytes_ += static_cast<std::uint64_t>(n) * tuple_footprint(schema_);
+  commit(batch);
+}
+
+std::size_t LocalHashTable::claim(const TupleBatch& batch) {
+  check_positions(batch, range_);
+  const std::size_t base = slab_.size();
+  slab_.resize(base + batch.size());
+  // link() does not maintain the index; the next probe rebuilds it.
+  index_built_ = false;
+  return base;
+}
+
+void LocalHashTable::link(const TupleBatch& batch, std::size_t base,
+                          const PosRange& sub) {
+  EHJA_CHECK(sub.lo >= range_.lo && sub.hi <= range_.hi);
+  const std::size_t n = batch.size();
+  const std::uint64_t* keys = batch.keys().data();
+  const std::uint64_t* ids = batch.ids().data();
+  const std::uint32_t* positions = batch.positions().data();
+  const std::uint32_t sub_lo = static_cast<std::uint32_t>(sub.lo);
+  const std::uint32_t sub_width = static_cast<std::uint32_t>(sub.width());
+  Entry* slab = slab_.data();
+  ChainRef* chains = chains_.data();
+  const std::uint64_t lo = range_.lo;
+  // The same chain push as insert_batch, for the rows inside `sub` only:
+  // per position the pushes still happen in row order, and only chain
+  // heads inside `sub` (and those rows' slab entries) are written.  Rows
+  // are taken a block at a time: a branchless pass lists the block's own
+  // rows, so the push loop neither mispredicts on ownership nor prefetches
+  // another lane's chain heads.
+  constexpr std::size_t kBlock = 256;
+  std::uint32_t own[kBlock];
+  for (std::size_t start = 0; start < n; start += kBlock) {
+    const std::size_t stop = std::min(n, start + kBlock);
+    std::size_t m = 0;
+    for (std::size_t i = start; i < stop; ++i) {
+      own[m] = static_cast<std::uint32_t>(i);
+      m += positions[i] - sub_lo < sub_width;
+    }
+    for (std::size_t j = 0; j < m; ++j) {
+      if (j + kPrefetchAhead < m) {
+        EHJA_PREFETCH_W(&chains[static_cast<std::size_t>(
+            positions[own[j + kPrefetchAhead]] - lo)]);
+      }
+      const std::size_t i = own[j];
+      ChainRef& c = chains[static_cast<std::size_t>(positions[i] - lo)];
+      const std::uint32_t e = static_cast<std::uint32_t>(base + i);
+      slab[e] = Entry{ids[i], keys[i], c.head, kNil};
+      c.head = e;
+      ++c.count;
+    }
+  }
+}
+
+void LocalHashTable::commit(const TupleBatch& batch) {
+  tuple_count_ += batch.size();
+  footprint_bytes_ +=
+      static_cast<std::uint64_t>(batch.size()) * tuple_footprint(schema_);
 }
 
 LocalHashTable::ProbeResult LocalHashTable::probe(const Tuple& s,
@@ -149,18 +210,26 @@ LocalHashTable::ProbeResult LocalHashTable::probe(const Tuple& s,
 
 LocalHashTable::BatchProbeResult LocalHashTable::probe_batch(
     const TupleBatch& batch, std::vector<Tuple>* sink) {
-  BatchProbeResult agg;
-  const std::size_t n = batch.size();
-  agg.probed = n;
-  if (n == 0) return agg;
+  if (batch.size() == 0) return BatchProbeResult{};
   // Any non-empty chain needs the index; building once up front performs
   // the same lookups the scalar path would (build timing is unobservable).
-  if (tuple_count_ != 0) ensure_index();
+  ensure_index();
+  return probe_rows(batch, 0, batch.size(), sink);
+}
+
+LocalHashTable::BatchProbeResult LocalHashTable::probe_rows(
+    const TupleBatch& batch, std::size_t begin, std::size_t end,
+    std::vector<Tuple>* sink) const {
+  EHJA_CHECK(begin <= end && end <= batch.size());
+  EHJA_CHECK_MSG(index_built_ || tuple_count_ == 0,
+                 "probe_rows without ensure_index");
+  BatchProbeResult agg;
+  agg.probed = end - begin;
   const std::uint64_t* keys = batch.keys().data();
   const std::uint64_t* ids = batch.ids().data();
   const std::uint32_t* positions = batch.positions().data();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i + kPrefetchAhead < n) {
+  for (std::size_t i = begin; i < end; ++i) {
+    if (i + kPrefetchAhead < end) {
       const std::uint64_t ahead = positions[i + kPrefetchAhead];
       if (range_.contains(ahead)) {
         EHJA_PREFETCH(&chains_[static_cast<std::size_t>(ahead - range_.lo)]);
@@ -191,7 +260,7 @@ LocalHashTable::BatchProbeResult LocalHashTable::probe_batch(
 }
 
 void LocalHashTable::ensure_index() {
-  if (index_built_) return;
+  if (index_built_ || tuple_count_ == 0) return;
   rebuild_index();
   index_built_ = true;
 }

@@ -29,6 +29,13 @@
 // comes from.  Results are bit-identical to the scalar calls
 // (tests/test_hash.cpp fuzzes the equivalence).
 //
+// The same batch calls come in a form intra-node lanes can share
+// (core/node_table.hpp, DESIGN.md §11): claim / link / commit split
+// insert_batch so that each lane links the rows of its own contiguous
+// position sub-range -- disjoint chains, disjoint slab entries, no locks --
+// and probe_rows is a const probe over a row slice once ensure_index() ran.
+// The table they leave behind is bit-identical to insert_batch's.
+//
 // The memory *footprint* is byte-accurate against the declared schema
 // (payload included plus per-entry overhead) even though payload bytes are
 // not materialized; the owning join process compares footprint_bytes()
@@ -68,6 +75,19 @@ class LocalHashTable {
   /// precomputed hash column; every one must lie inside range()).
   void insert_batch(const TupleBatch& batch);
 
+  /// insert_batch in three steps, for lanes that split the work.  claim()
+  /// validates the batch's positions, appends its slab segment (row i
+  /// becomes entry base + i; the returned value is base) and drops the key
+  /// index, which the next probe rebuilds.  link() threads the rows whose
+  /// position lies in `sub` onto their chains, in row order; calls with
+  /// disjoint `sub`s write disjoint chains and slab entries, so they may
+  /// run concurrently.  commit() adds the batch to the counters.  Once
+  /// links covering range() are done, chains and slab equal what
+  /// insert_batch(batch) would have built.
+  std::size_t claim(const TupleBatch& batch);
+  void link(const TupleBatch& batch, std::size_t base, const PosRange& sub);
+  void commit(const TupleBatch& batch);
+
   struct ProbeResult {
     std::uint64_t matches = 0;         // matches found for this tuple
     std::uint64_t comparisons = 0;     // key comparisons performed (cost)
@@ -90,9 +110,20 @@ class LocalHashTable {
   /// the counted result.
   ProbeResult probe(const Tuple& s, std::vector<Tuple>* sink = nullptr);
 
-  /// Bulk probe with every tuple of `batch` (same sink contract as probe).
+  /// Bulk probe with every tuple of `batch` (same sink contract as probe):
+  /// ensure_index() followed by probe_rows over the whole batch.
   BatchProbeResult probe_batch(const TupleBatch& batch,
                                std::vector<Tuple>* sink = nullptr);
+
+  /// Build the key index unless it is live or the table is empty.
+  void ensure_index();
+
+  /// Probe rows [begin, end) of `batch`; requires ensure_index() since the
+  /// last insert or removal.  Const, so lanes may probe disjoint row slices
+  /// concurrently, each with its own sink.
+  BatchProbeResult probe_rows(const TupleBatch& batch, std::size_t begin,
+                              std::size_t end,
+                              std::vector<Tuple>* sink = nullptr) const;
 
   /// Remove and return every tuple whose position lies in `sub` (must be
   /// inside range()); footprint shrinks accordingly.
@@ -139,7 +170,6 @@ class LocalHashTable {
     return chains_[static_cast<std::size_t>(pos - range_.lo)];
   }
 
-  void ensure_index();
   void rebuild_index();
   /// Link slab entry `e` into the index, growing the slot array as needed.
   void index_insert(std::uint32_t e);

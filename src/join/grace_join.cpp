@@ -1,7 +1,6 @@
 #include "join/grace_join.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "util/assert.hpp"
 #include "util/math.hpp"
@@ -39,9 +38,10 @@ HybridHashSpiller::HybridHashSpiller(Schema schema, PosRange range,
     Partition part;
     part.range = PosRange{part_boundary(range, k, parts),
                           part_boundary(range, k + 1, parts)};
-    const std::uint64_t base = (stream_namespace << 6) | (k << 1);
+    // Two streams (R, S) per sub-partition, distinct at any fanout.
+    const std::uint64_t base = (stream_namespace * parts + k) * 2;
     part.r_file = std::make_unique<SpillFile>(disk, base);
-    part.s_file = std::make_unique<SpillFile>(disk, base | 1);
+    part.s_file = std::make_unique<SpillFile>(disk, base + 1);
     partitions_.push_back(std::move(part));
   }
 }
@@ -157,21 +157,20 @@ double HybridHashSpiller::join_partition(Partition& part, JoinResult& acc,
     // Read this R fragment and build an in-memory table over it.
     seconds += part.r_file->scan((end - begin) * schema_.tuple_bytes);
     seconds += static_cast<double>(end - begin) * cost_->tuple_insert_sec;
-    std::unordered_multimap<std::uint64_t, std::uint64_t> fragment;
-    fragment.reserve(end - begin);
-    for (std::size_t i = begin; i < end; ++i) {
-      fragment.emplace(part.r_tuples[i].key, part.r_tuples[i].id);
-    }
+    LocalHashTable fragment(schema_, part.range);
+    for (std::size_t i = begin; i < end; ++i) fragment.insert(part.r_tuples[i]);
     // Each pass rescans the full S partition -- the multi-pass penalty.
     seconds += part.s_file->scan(part.s_tuples.size() * schema_.tuple_bytes);
     for (const Tuple& s : part.s_tuples) {
       seconds += cost_->tuple_probe_sec;
-      auto [lo, hi] = fragment.equal_range(s.key);
-      for (auto it = lo; it != hi; ++it) {
+      const auto probe = fragment.probe(s, sink);
+      acc.matches += probe.matches;
+      acc.checksum += probe.checksum_delta;
+      // Charged one match at a time, not multiplied out: floating-point
+      // sums depend on their order, and modeled times are compared bit for
+      // bit across runs and builds.
+      for (std::uint64_t m = 0; m < probe.matches; ++m) {
         seconds += cost_->tuple_compare_sec + cost_->match_emit_sec;
-        ++acc.matches;
-        acc.checksum += match_signature(it->second, s.id);
-        if (sink) sink->push_back(Tuple{it->second, s.id});
       }
     }
   }

@@ -7,9 +7,10 @@
 // tuples for spilled sub-partitions go straight to their R spill file, probe
 // tuples likewise to the S spill file; in-memory sub-partitions are probed
 // immediately (the classic dynamic hybrid-hash discipline).  finish() joins
-// each spilled (R_k, S_k) pair, multi-pass when R_k alone exceeds the
-// budget (each extra pass rescans S_k, which is what makes the OOC baseline
-// collapse at small initial node counts -- paper Fig. 2).
+// each spilled (R_k, S_k) pair through a LocalHashTable over the
+// sub-partition, multi-pass when R_k alone exceeds the budget (each extra
+// pass rescans S_k, which is what makes the OOC baseline collapse at small
+// initial node counts -- paper Fig. 2).
 //
 // All methods return the virtual seconds consumed (CPU per the cost model +
 // disk per SimDisk); the caller charges them to its node.  This component

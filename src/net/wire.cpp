@@ -416,8 +416,7 @@ bool fields(A& a, EhjaConfig& v) {
            v.source_progress_slices, v.reshuffle_bins, v.spill_fanout,
            v.pick_policy, v.split_variant, v.balanced_initial_partition,
            v.partition_sample, v.link, v.cost, v.disk, v.faults, v.ft,
-           v.intra_threads, v.intra_mode, v.capture_output,
-           v.pipeline_stage);
+           v.intra_threads, v.capture_output, v.pipeline_stage);
 }
 
 // --- archive overloads defined out of line ---

@@ -97,7 +97,9 @@ namespace ehja::wire {
 /// (columnar, checksum-stamped) so a stage's captured output ships to
 /// workers inside the config frame, and the kResultChunk message streaming
 /// captured output rows back to the scheduler.
-inline constexpr std::uint8_t kWireVersion = 6;
+/// v7: intra_mode leaves the config handshake (intra-node lanes share one
+/// table; there is no build discipline left to choose).
+inline constexpr std::uint8_t kWireVersion = 7;
 
 /// CRC32 (IEEE 802.3, reflected, poly 0xEDB88320) over `size` bytes.
 std::uint32_t crc32(const std::uint8_t* data, std::size_t size);
@@ -200,7 +202,6 @@ constexpr SplitVariant wire_max(SplitVariant) {
 constexpr DetectorKind wire_max(DetectorKind) {
   return DetectorKind::kPhiAccrual;
 }
-constexpr IntraMode wire_max(IntraMode) { return IntraMode::kMerge; }
 
 /// Fewest bytes one vector element of type T encodes to; Dec checks a
 /// decoded count against the remaining bytes at this size before it

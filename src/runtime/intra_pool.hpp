@@ -15,10 +15,11 @@
 // no job queue, no futures, no work stealing.
 //
 // The mutex/condvar handshake doubles as the memory fence between fork-join
-// regions: everything lane t wrote in one run() happens-before everything
-// any lane reads in the next, which is what lets ConcurrentKeyIndex do its
-// serial bookkeeping (capacity growth, index rebuilds) between regions
-// with plain loads and stores.
+// regions: everything the caller wrote before run() happens-before every
+// lane's body, and everything lane t wrote happens-before run() returns.
+// That is what lets NodeTable do the shared LocalHashTable's serial steps
+// (slab growth, counters, index rebuilds) around a region with plain loads
+// and stores.
 #pragma once
 
 #include <condition_variable>

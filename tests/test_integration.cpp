@@ -3,6 +3,9 @@
 // runtimes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "core/driver.hpp"
 #include "util/units.hpp"
 
@@ -83,6 +86,40 @@ TEST_P(AlgorithmSuite, ThreadRuntimeAgreesWithSimRuntime) {
   const RunResult sim = run_ehja(config, RuntimeKind::kSim);
   const RunResult thread = run_ehja(config, RuntimeKind::kThread);
   EXPECT_EQ(sim.join(), thread.join());
+}
+
+TEST_P(AlgorithmSuite, IntraThreadsAgreeWithOneThread) {
+  // 2048-row chunks clear NodeTable's fan-out cutoff (kMinRowsPerLane rows
+  // per lane) at 2 and 4 lanes, so builds and probes really run on lanes.
+  auto config = small_config(GetParam());
+  config.chunk_tuples = 2048;
+  config.generation_slice_tuples = 2048;
+  config.capture_output = true;
+  const JoinResult expected = reference_join(config);
+  const auto sorted_rows = [](const RunResult& run) {
+    std::vector<Tuple> rows = run.metrics.output_rows;
+    std::sort(rows.begin(), rows.end(), [](const Tuple& a, const Tuple& b) {
+      return a.id != b.id ? a.id < b.id : a.key < b.key;
+    });
+    return rows;
+  };
+  for (const RuntimeKind kind : {RuntimeKind::kSim, RuntimeKind::kThread}) {
+    config.intra_threads = 1;
+    const RunResult one = run_ehja(config, kind);
+    const std::vector<Tuple> want = sorted_rows(one);
+    for (const std::uint32_t threads : {2u, 4u}) {
+      SCOPED_TRACE(::testing::Message() << "runtime " << static_cast<int>(kind)
+                                        << ", intra_threads " << threads);
+      config.intra_threads = threads;
+      const RunResult run = run_ehja(config, kind);
+      EXPECT_EQ(run.join(), expected);
+      EXPECT_EQ(sorted_rows(run), want);
+      if (kind == RuntimeKind::kSim) {
+        EXPECT_EQ(run.metrics.total_time(), one.metrics.total_time());
+        EXPECT_EQ(run.metrics.expansions, one.metrics.expansions);
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

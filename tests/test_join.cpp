@@ -193,5 +193,28 @@ TEST(HybridHashSpillerTest, BuildTupleConservation) {
   EXPECT_EQ(in_memory + spiller.spilled_build_tuples(), n);
 }
 
+TEST(HybridHashSpillerTest, WideFanoutKeepsSpillStreamsDistinct) {
+  // Build rows alternating between two sub-partitions of a 64-way spiller
+  // must pay the same seeks whichever two they are: every sub-partition's
+  // spill files are their own disk streams, however wide the fanout.
+  const auto seeks_alternating = [](std::uint64_t other) {
+    GraceFixture fx;
+    const Schema schema{100};
+    constexpr std::uint64_t kFanout = 64;
+    HybridHashSpiller spiller(schema, PosRange{0, kPositionCount},
+                              tuple_footprint(schema), kFanout, fx.disk,
+                              fx.cost, 1, SpillPolicy::kEvictAll);
+    const std::uint64_t width = kPositionCount / kFanout;
+    for (std::uint64_t i = 0; i < 100'000; ++i) {
+      const std::uint64_t part = i % 2 == 0 ? 0 : other;
+      spiller.add_build(Tuple{i, (part * width) << (64 - kPositionBits)});
+    }
+    JoinResult acc;
+    spiller.finish(acc);
+    return fx.disk.seeks();
+  };
+  EXPECT_EQ(seeks_alternating(32), seeks_alternating(1));
+}
+
 }  // namespace
 }  // namespace ehja

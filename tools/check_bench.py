@@ -12,9 +12,8 @@ metric is graded:
     bench at baseline scale (~10s) precisely so this never trips there.
   * absolute throughput (keys ending in `_tps`, or `tuples_per_sec`) is
     additionally gated on matching `host_cores`: tuples/sec on a 4-vCPU
-    runner says nothing about a baseline taken on a different box, and
-    thread-scaling numbers (the `intra` section) are meaningless across
-    core counts.  Speedup ratios (keys ending in `speedup`) are
+    runner says nothing about a baseline taken on a different box.
+    Speedup ratios (keys ending in `speedup`) are
     batched-vs-scalar on the same host, so they gate on any machine.
 
 A metric fails when candidate < baseline * (1 - threshold); the default

@@ -17,10 +17,8 @@
 //     --chunk=N             tuples per transport chunk        (default 10000)
 //     --seed=N              RNG seed                          (default 1)
 //     --split-variant=requester|pointer                (default requester)
-//     --intra-threads=N     worker threads per join process driving its
-//                           partition table (default 1 = scalar data plane)
-//     --intra-mode=shared|merge  concurrent-table build discipline when
-//                           --intra-threads > 1 (default shared)
+//     --intra-threads=N     worker threads per join process, sharing its
+//                           partition table (default 1 = serial data plane)
 //     --runtime=sim|thread|socket  execution runtime          (default sim)
 //                           sim: discrete-event, virtual time; thread: one
 //                           OS thread per node; socket: one OS *process*
@@ -209,10 +207,6 @@ int main(int argc, char** argv) {
       const long threads = std::atol(value.c_str());
       if (threads < 1) usage_error("--intra-threads must be >= 1");
       config.intra_threads = static_cast<std::uint32_t>(threads);
-    } else if (match_flag(argv[i], "--intra-mode", &value)) {
-      if (value == "shared") config.intra_mode = IntraMode::kShared;
-      else if (value == "merge") config.intra_mode = IntraMode::kMerge;
-      else usage_error("unknown --intra-mode '" + value + "' (shared, merge)");
     } else if (match_flag(argv[i], "--runtime", &value)) {
       if (value == "sim") runtime = RuntimeKind::kSim;
       else if (value == "thread") runtime = RuntimeKind::kThread;
