@@ -35,6 +35,9 @@
 // their tuples inside a lost range would duplicate the replay (or land in a
 // discarded table), so receivers filter them out per-tuple.  Dropping is
 // always safe because a fence covers exactly the ranges being replayed.
+// A join spawned after a recovery gets an epoch-only fence (no lost
+// ranges) at spawn, so the tuples it later ships out of its own table are
+// not mistaken for pre-crash stragglers by its fenced peers.
 //
 // Probe-phase recovery widens every affected entry to full-range treatment
 // (discard all, zero accumulated probe results, replay the whole entry for

@@ -242,7 +242,20 @@ ActorId SchedulerActor::spawn_join(NodeId node) {
   const ActorId fresh = spawn_join_(node);
   joins_.push_back(fresh);
   node_of_[fresh] = node;
-  if (config_->recovery_enabled()) detector_.track(fresh, Actor::now());
+  if (config_->recovery_enabled()) {
+    detector_.track(fresh, Actor::now());
+    if (recovery_->epoch() > 0 && !recovery_->active()) {
+      // A join spawned after a recovery starts in the current incarnation:
+      // what it later ships out of its own table (split, reshuffle) is
+      // stamped with its epoch and must pass the fences at older peers.  A
+      // fence with no lost ranges carries just the epoch; it goes out ahead
+      // of the kJoinInit that follows this spawn.  A recovery's own
+      // recruits get the real fence from the surgery.
+      RecoveryFencePayload fence;
+      fence.epoch = recovery_->epoch();
+      send(fresh, make_message(Tag::kRecoveryFence, fence, kControlWireBytes));
+    }
+  }
   return fresh;
 }
 

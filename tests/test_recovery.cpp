@@ -206,6 +206,27 @@ TEST(RecoveryTest, EarlyProbeDeathReplicate) {
   EXPECT_EQ(run.join(), reference_join(config));
 }
 
+// Regression: a join spawned after a recovery used to start at epoch 0, so
+// its reshuffle moves into the rebuilt range were stamped with the old
+// epoch and the recruited owner's fence dropped them as stragglers.  The
+// kill fires on the first chunk and fast detection ends the recovery early
+// in the build; the recruit then overflows, replicas spawned after the
+// recovery fill, and the reshuffle ships back into the fenced range.
+TEST(RecoveryTest, ReplicaSpawnedAfterRecoveryReshufflesIntoFencedRange) {
+  auto config = chaos_config(Algorithm::kHybrid);
+  config.join_pool_nodes = 10;
+  config.build_rel.tuple_count = 60'000;
+  config.node_hash_memory_bytes =
+      8000 * tuple_footprint(config.build_rel.schema);
+  config.ft.heartbeat_interval_sec = 0.005;
+  config.ft.heartbeat_timeout_sec = 0.02;
+  config.faults.kills.push_back(kill_after_chunks(1, 1));
+  const RunResult run = run_ehja(config);
+  expect_recovered(run, config, 1);
+  EXPECT_EQ(run.metrics.build_tuples_total, config.build_rel.tuple_count);
+  EXPECT_GT(run.metrics.t_reshuffle_end, run.metrics.t_build_end);
+}
+
 // ---------------------------------------------------------------------------
 // Determinism: the same FaultPlan and seed reproduce the identical
 // virtual-time line, bit for bit.
