@@ -226,6 +226,7 @@ void DataSourceActor::replay_slice() {
   ReplayJob& job = *replay_;
   Tuple t;
   std::uint32_t produced = 0;
+  stage_.clear();
   while (produced < config_->generation_slice_tuples &&
          job.stream->produced() < job.cap && job.stream->next(t)) {
     ++produced;
@@ -237,10 +238,11 @@ void DataSourceActor::replay_slice() {
         break;
       }
     }
-    if (!lost) continue;
-    ++job.replayed;
-    route_tuple(t, job.rel, /*probe_fanout=*/job.rel == config_->probe_rel.tag);
+    if (lost) stage_.append(t.id, t.key);
   }
+  job.replayed += stage_.size();
+  route_batch(stage_, job.rel,
+              /*probe_fanout=*/job.rel == config_->probe_rel.tag);
   charge(static_cast<double>(produced) * config_->cost.tuple_generate_sec);
   if (job.stream->produced() < job.cap && job.stream->remaining() > 0) {
     defer_slice();
@@ -304,31 +306,6 @@ void DataSourceActor::route_batch(const TupleBatch& batch, RelTag rel,
         buffer_row(owner, batch, i, rel);
       }
     }
-  }
-}
-
-void DataSourceActor::route_tuple(const Tuple& t, RelTag rel,
-                                  bool probe_fanout) {
-  const auto& entry = map_.entry_for(position_of(t.key));
-  if (!probe_fanout) {
-    buffer_tuple(entry.active_owner(), t, rel);
-  } else {
-    // Probe: replicated ranges receive every probe tuple on all replicas.
-    for (ActorId owner : entry.owners) {
-      buffer_tuple(owner, t, rel);
-    }
-  }
-}
-
-void DataSourceActor::buffer_tuple(ActorId to, const Tuple& t, RelTag rel) {
-  Chunk& buffer = buffers_[to];
-  if (buffer.empty()) {
-    buffer.rel = rel;
-  }
-  EHJA_CHECK_MSG(buffer.rel == rel, "mixed-relation buffer");
-  buffer.batch.push_back(t);
-  if (buffer.size() >= config_->chunk_tuples) {
-    flush(to);
   }
 }
 

@@ -72,13 +72,11 @@ class DataSourceActor final : public Actor {
   void generate_slice();
   void handle_replay(const ReplayRequestPayload& req);
   void replay_slice();
-  /// Route a staged generation batch: one histogram pass over the position
-  /// column (destination entry per row + per-entry counts, used to size the
-  /// buffers), then an in-order scatter so chunk boundaries match the
-  /// tuple-at-a-time semantics exactly.
+  /// Route a staged generation or replay batch: one histogram pass over the
+  /// position column (destination entry per row + per-entry counts, used to
+  /// size the buffers), then an in-order scatter so chunk boundaries match
+  /// the tuple-at-a-time semantics exactly.
   void route_batch(const TupleBatch& batch, RelTag rel, bool probe_fanout);
-  void route_tuple(const Tuple& t, RelTag rel, bool probe_fanout);
-  void buffer_tuple(ActorId to, const Tuple& t, RelTag rel);
   /// Append row `i` of `batch` to `to`'s buffer (no re-hashing).
   void buffer_row(ActorId to, const TupleBatch& batch, std::size_t i,
                   RelTag rel);
@@ -98,8 +96,8 @@ class DataSourceActor final : public Actor {
   std::uint64_t map_version_ = 0;
   std::optional<TupleStream> stream_;
   std::map<ActorId, Chunk> buffers_;
-  /// Reused staging area for one generation slice (columnar; positions are
-  /// hashed once here and reused by every later hop).
+  /// Reused staging area for one generation or replay slice (columnar;
+  /// positions are hashed once here and reused by every later hop).
   TupleBatch stage_;
   /// Scratch of route_batch's histogram pass (reused across slices).
   std::vector<std::uint32_t> stage_entry_;

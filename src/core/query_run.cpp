@@ -122,11 +122,6 @@ void QueryRun::start(const QueryPlacement& placement) {
                        placement.join_nodes);
 }
 
-bool QueryRun::finished() const {
-  if (scheduler_raw_ != nullptr && scheduler_raw_->finished()) return true;
-  return standby_raw_ != nullptr && standby_raw_->finished();
-}
-
 RunMetrics QueryRun::collect_metrics() const {
   const SchedulerActor* finished =
       scheduler_raw_ != nullptr && scheduler_raw_->finished()

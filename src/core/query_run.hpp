@@ -81,9 +81,6 @@ class QueryRun {
   /// serving coordinator, from the runtime's idle hook).
   void start(const QueryPlacement& placement);
 
-  /// Did either coordinator finish the run?
-  bool finished() const;
-
   /// Metrics from whichever coordinator finished (aborts if none did).
   /// `kills_executed` is runtime-global, so the driver (not this class)
   /// stamps failures_injected.

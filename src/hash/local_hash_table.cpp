@@ -375,15 +375,4 @@ BinnedHistogram LocalHashTable::histogram(std::size_t bins) const {
   return hist;
 }
 
-void LocalHashTable::clear() {
-  std::vector<Entry>().swap(slab_);
-  std::vector<std::uint32_t>().swap(index_slots_);
-  chains_.assign(chains_.size(), ChainRef{});
-  index_mask_ = 0;
-  index_keys_ = 0;
-  index_built_ = false;
-  tuple_count_ = 0;
-  footprint_bytes_ = 0;
-}
-
 }  // namespace ehja

@@ -15,8 +15,8 @@
 // lookup goes through a table-wide open-addressing index over the join
 // attribute, built lazily at the first probe and maintained incrementally
 // by later inserts (the dynamic hybrid-hash spiller interleaves the two);
-// range surgery that removes entries (extract_range, clear) invalidates the
-// index and the next probe rebuilds it from the chains.  This replaces the
+// range surgery that removes entries (extract_range) invalidates the index
+// and the next probe rebuilds it from the chains.  This replaces the
 // earlier per-chain lazy sort.  ProbeResult::comparisons still reports what
 // the modeled 2004 structure pays -- a binary search over the position's
 // chain plus one comparison per match -- which the caller charges to the
@@ -44,8 +44,8 @@
 // Range surgery -- extract_range() for split migration, reshuffle and spill
 // eviction, set_range() after a reshuffle -- returns the removed tuples so
 // the caller can re-chunk and ship them, keeping accounting exact.
-// (Removed slab entries are reclaimed on clear(), not eagerly; the slab
-// high-water mark is bounded by the tuples this node ever inserted.)
+// (Removed slab entries are never reclaimed; the slab high-water mark is
+// bounded by the tuples this node ever inserted.)
 #pragma once
 
 #include <cstdint>
@@ -136,9 +136,6 @@ class LocalHashTable {
   /// Per-position entry counts binned for the reshuffle global sum.
   BinnedHistogram histogram(std::size_t bins) const;
 
-  /// Drop everything (phase-3 out-of-core joins reuse the node's budget).
-  void clear();
-
  private:
   static constexpr std::uint32_t kNil = 0xffffffffu;
 
@@ -180,7 +177,7 @@ class LocalHashTable {
   PosRange range_;
   std::uint64_t tuple_count_ = 0;
   std::uint64_t footprint_bytes_ = 0;
-  std::vector<Entry> slab_;       // unlinked entries stay until clear()
+  std::vector<Entry> slab_;       // unlinked entries stay
   std::vector<ChainRef> chains_;  // one per owned position
   // Open-addressing key index: slot -> head entry of a same-key list.
   std::vector<std::uint32_t> index_slots_;  // power-of-two size

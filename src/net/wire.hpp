@@ -4,8 +4,8 @@
 // through this module: the actor messages of core/messages.hpp (including
 // the recovery/epoch/fence vocabulary), the EhjaConfig handed to workers in
 // the connection handshake, and the control frames of the runtime itself
-// (hello/spawn/announce/shutdown; socket_runtime.cpp defines their bodies
-// with the same Writer/Reader primitives).
+// (hello/peers/spawn/announce/query-config/retire/node-dead), each a field
+// list below next to FrameKind.
 //
 // Layering:
 //   * Primitives -- explicit little-endian fixed-width integers, LEB128
@@ -45,6 +45,9 @@
 //     invariants their constructors would abort on), and RelationSpec
 //     (decode enforces tuple_bytes >= 16, and materialized rows ship
 //     columnar behind a presence flag).
+//   * Frame bodies -- encode_body/decode_body turn one value (a control
+//     frame, a serve payload, an EhjaConfig) into a whole frame body and
+//     back; decode_body rejects a body with a byte missing or left over.
 //   * Message codec -- encode_message/decode_message carry (tag, from,
 //     wire_bytes, payload), reconstructing the exact std::any payload type
 //     that Message::as<T>() expects from the one Tag -> payload-type switch
@@ -68,6 +71,7 @@
 #include <limits>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -75,6 +79,7 @@
 #include "core/config.hpp"
 #include "core/messages.hpp"
 #include "net/wire_format.hpp"
+#include "runtime/actor.hpp"
 #include "runtime/message.hpp"
 
 namespace ehja::wire {
@@ -201,6 +206,9 @@ constexpr SplitVariant wire_max(SplitVariant) {
 }
 constexpr DetectorKind wire_max(DetectorKind) {
   return DetectorKind::kPhiAccrual;
+}
+constexpr RemoteSpawnSpec::Kind wire_max(RemoteSpawnSpec::Kind) {
+  return RemoteSpawnSpec::Kind::kDataSource;
 }
 
 /// Fewest bytes one vector element of type T encodes to; Dec checks a
@@ -393,6 +401,24 @@ class Dec {
   Reader& r_;
 };
 
+// --- frame bodies ---
+
+/// Encode `v` (anything the archives carry) as one whole frame body.
+template <typename T>
+std::vector<std::uint8_t> encode_body(const T& v) {
+  Writer w;
+  Enc{w}(v);
+  return w.take();
+}
+
+/// Decode a whole frame body into `v`: false unless the body holds exactly
+/// one valid value (a trailing byte is as corrupt as a missing one).
+template <typename T>
+bool decode_body(std::span<const std::uint8_t> body, T& v) {
+  Reader r(body.data(), body.size());
+  return Dec{r}(v) && r.remaining() == 0;
+}
+
 // --- message codec ---
 
 /// True when `tag` names a message of the protocol vocabulary.
@@ -448,6 +474,72 @@ enum class FrameKind : std::uint8_t {
   kCancelQuery = 21,    // client -> server: abandon a queued query
   kShutdownNotice = 22, // server -> client: draining, resubmit elsewhere
 };
+
+// Fleet control-frame bodies (socket runtime).  READY and SHUTDOWN carry
+// none; RETIRE (the ActorId) and NODE_DEAD (the NodeId) carry one bare
+// int32; WELCOME carries the EhjaConfig itself.
+
+/// HELLO (worker -> coordinator) and PEER_HELLO (worker -> worker, port 0).
+/// The port is checked against 0xffff where it is used.
+struct HelloFrame {
+  NodeId node = -1;
+  std::uint32_t port = 0;  // the sender's mesh listener
+  std::uint64_t incarnation = 0;
+};
+
+template <typename A>
+bool fields(A& a, HelloFrame& v) {
+  return a(v.node, v.port, v.incarnation);
+}
+
+/// One row of PEERS, which is a std::vector<PeerEntry>: every other
+/// worker's mesh listen port.
+struct PeerEntry {
+  NodeId node = -1;
+  std::uint32_t port = 0;
+};
+
+template <typename A>
+bool fields(A& a, PeerEntry& v) {
+  return a(v.node, v.port);
+}
+
+/// SPAWN: rebuild actor `id` from a RemoteSpawnSpec.  config_id 0 is the
+/// handshake config; any other id was shipped earlier by QUERY_CONFIG.
+struct SpawnFrame {
+  ActorId id = kInvalidActor;
+  RemoteSpawnSpec::Kind kind = RemoteSpawnSpec::Kind::kJoinProcess;
+  std::uint32_t source_index = 0;
+  ActorId scheduler = kInvalidActor;
+  std::uint32_t config_id = 0;
+};
+
+template <typename A>
+bool fields(A& a, SpawnFrame& v) {
+  return a(v.id, v.kind, v.source_index, v.scheduler, v.config_id);
+}
+
+/// ANNOUNCE: actor `id` lives on node `owner`.
+struct AnnounceFrame {
+  ActorId id = kInvalidActor;
+  NodeId owner = -1;
+};
+
+template <typename A>
+bool fields(A& a, AnnounceFrame& v) {
+  return a(v.id, v.owner);
+}
+
+/// QUERY_CONFIG: a per-query EhjaConfig that later SPAWNs name by `id`.
+struct QueryConfigFrame {
+  std::uint32_t id = 0;
+  EhjaConfig config;
+};
+
+template <typename A>
+bool fields(A& a, QueryConfigFrame& v) {
+  return a(v.id, v.config);
+}
 
 /// Highest FrameKind value this build understands; try_parse_frame rejects
 /// kinds above this so a frame from a *newer* build is a clean decode error

@@ -30,11 +30,4 @@ void TupleBatch::append_range(const TupleBatch& src, std::size_t begin,
                     src.positions_.begin() + end);
 }
 
-std::vector<Tuple> TupleBatch::to_tuples() const {
-  std::vector<Tuple> out;
-  out.reserve(size());
-  for (std::size_t i = 0; i < size(); ++i) out.push_back(tuple(i));
-  return out;
-}
-
 }  // namespace ehja

@@ -68,8 +68,6 @@ class TupleBatch {
   const std::vector<std::uint64_t>& keys() const { return keys_; }
   const std::vector<std::uint32_t>& positions() const { return positions_; }
 
-  std::vector<Tuple> to_tuples() const;
-
   /// Row-at-a-time view materializing Tuple values.
   class const_iterator {
    public:

@@ -84,8 +84,7 @@ class Actor {
  private:
   friend class SimRuntime;
   friend class ThreadRuntime;
-  friend class SocketRuntime;
-  friend class SocketWorkerRuntime;
+  friend class SocketLoop;
   friend class HarnessRuntime;  // tests/actor_harness.hpp
   void bind(Runtime* rt, ActorId id, NodeId node) {
     rt_ = rt;
@@ -137,10 +136,6 @@ class Runtime {
   virtual void request_stop() = 0;
 
   virtual const ClusterSpec& cluster() const = 0;
-  virtual std::size_t actor_count() const = 0;
-
-  /// Borrow a spawned actor (driver-side result collection after run()).
-  virtual Actor& actor(ActorId id) = 0;
 
   /// Forget a finished actor: free its instance and discard any straggler
   /// traffic addressed to it.  Optional -- one-shot runtimes tear everything

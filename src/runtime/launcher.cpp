@@ -85,11 +85,6 @@ void Launcher::kill_worker(NodeId node) {
   ::kill(w->pid, SIGKILL);
 }
 
-bool Launcher::worker_running(NodeId node) const {
-  const Worker* w = find(node);
-  return w != nullptr && !w->exited;
-}
-
 void Launcher::shutdown_all(double grace_sec) {
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::duration<double>(grace_sec);
@@ -121,13 +116,6 @@ void Launcher::shutdown_all(double grace_sec) {
 
 Launcher::Worker* Launcher::find(NodeId node) {
   for (Worker& w : workers_) {
-    if (w.node == node) return &w;
-  }
-  return nullptr;
-}
-
-const Launcher::Worker* Launcher::find(NodeId node) const {
-  for (const Worker& w : workers_) {
     if (w.node == node) return &w;
   }
   return nullptr;

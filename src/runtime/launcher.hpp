@@ -56,9 +56,6 @@ class Launcher {
   /// FaultPlan path).  No-op if it already exited.
   void kill_worker(NodeId node);
 
-  /// True while `node`'s process has not been reaped.
-  bool worker_running(NodeId node) const;
-
   /// Graceful teardown: give every worker `grace_sec` to exit on its own
   /// (they exit on the wire SHUTDOWN frame), then SIGKILL stragglers; reaps
   /// everything either way.
@@ -74,7 +71,6 @@ class Launcher {
   };
 
   Worker* find(NodeId node);
-  const Worker* find(NodeId node) const;
 
   std::vector<Worker> workers_;
 };

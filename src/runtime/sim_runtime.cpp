@@ -134,9 +134,4 @@ void SimRuntime::request_stop() {
   sim_.clear();
 }
 
-Actor& SimRuntime::actor(ActorId id) {
-  EHJA_CHECK(id >= 0 && static_cast<std::size_t>(id) < actors_.size());
-  return *actors_[static_cast<std::size_t>(id)];
-}
-
 }  // namespace ehja

@@ -40,8 +40,6 @@ class SimRuntime final : public Runtime {
   void run() override;
   void request_stop() override;
   const ClusterSpec& cluster() const override { return spec_; }
-  std::size_t actor_count() const override { return actors_.size(); }
-  Actor& actor(ActorId id) override;
 
   /// Virtual time at which the last processed event's handler finished.
   SimTime now() const { return sim_.now(); }

@@ -39,6 +39,12 @@
 // SimRuntime::kill_node: the node is marked dead, peers get NODE_DEAD and
 // drop traffic to/from it, and the scheduler's heartbeat detector + recovery
 // protocol take it from there, unchanged.
+//
+// One loop.  Coordinator and worker are two roles of one SocketLoop: the
+// local queue, the timer heap, the poll pump over the peer links, the
+// actor-message send and receive paths and the hosted/route/retired tables
+// exist once, and a role adds only its side of the handshake plus a few
+// hooks.  Control-frame bodies are net/wire.hpp field lists.
 #pragma once
 
 #include <chrono>
@@ -61,6 +67,10 @@ namespace ehja {
 namespace netio {
 struct Conn;
 }
+namespace wire {
+struct Frame;
+enum class FrameKind : std::uint8_t;
+}
 
 /// Worker-mode entry point.  If argv requests worker mode
 /// (`--ehja-worker=<node> --ehja-coordinator-port=<port>`), runs the worker
@@ -78,10 +88,114 @@ inline bool fifo_accept(std::uint64_t& expected_next, std::uint64_t seq) {
   return true;
 }
 
+/// The event loop every socket-runtime process runs, coordinator and worker
+/// alike.  One turn: start freshly hosted actors, deliver up to a batch of
+/// local messages, fire due timers, run the role's idle work, then one
+/// poll() over every peer link plus the watched fds.  Actor messages are
+/// routed, received and delivered here; roles plug in through the virtual
+/// hooks below and never re-implement any of it.
+class SocketLoop : public Runtime {
+ public:
+  ~SocketLoop() override;
+
+  void send(Actor& from, ActorId to, Message msg) override;
+  void defer(Actor& from, Message msg) override;
+  void defer_after(Actor& from, Message msg, double delay_sec) override;
+  /// Wall-clock runtime: CPU cost is whatever the hardware does.
+  void charge(Actor& /*from*/, double /*cpu_seconds*/) override {}
+  SimTime actor_now(const Actor& actor) const override;
+  bool node_alive(NodeId node) const override;
+  /// Turn the loop until request_stop() (or a role hook) sets stop_.
+  void run() override;
+  void request_stop() override { stop_ = true; }
+  const ClusterSpec& cluster() const override { return spec_; }
+
+ protected:
+  struct Inbound {
+    ActorId to = kInvalidActor;
+    NodeId from_node = -1;
+    Message msg;
+  };
+
+  /// `local_batch` caps the local messages delivered per turn.
+  SocketLoop(NodeId self, std::size_t local_batch);
+
+  // --- role hooks ---
+
+  /// After timers fire, before the poll (the serving coordinator's idle
+  /// hook).
+  virtual void after_timers() {}
+  /// Before the poll set is built (the coordinator reaps dead workers).
+  virtual void before_poll() {}
+  /// Any frame but kActorMsg.
+  virtual void on_control_frame(const wire::Frame& f) = 0;
+  /// send() to an id with no route (the coordinator knows every route).
+  virtual void on_unrouted_send(ActorId to, Message msg) = 0;
+  /// An actor message for an id this process does not host.
+  virtual void on_unhosted_receive(NodeId from, ActorId to, Message msg) = 0;
+  /// A link hit EOF or broke.  A worker's death is the coordinator's reap,
+  /// not this; the coordinator's death is a worker's cue to exit.
+  virtual void on_connection_lost(const netio::Conn& /*conn*/) {}
+
+  /// Size the per-node tables for `spec`.
+  void set_cluster(ClusterSpec spec);
+  /// Bind and keep a local actor; it starts at the top of the next turn.
+  void host(ActorId id, std::unique_ptr<Actor> actor);
+  /// Forget `id` here: free its instance and void its traffic.
+  void forget(ActorId id);
+  /// Fail-stop `node`: close its link, drop its traffic from now on.  False
+  /// if it was dead (or unknown) already.
+  bool mark_dead(NodeId node);
+  /// Queue `msg` for `to` on node `dst`: locally, or as one frame on the
+  /// peer link (dropped once the peer is dead).
+  void route_to(NodeId dst, ActorId to, NodeId from_node, Message msg);
+  /// Run `fn` after `delay_sec`; before run() the delay counts from run().
+  void enqueue_timer(double delay_sec, std::function<void()> fn);
+
+  const NodeId self_;
+  ClusterSpec spec_;
+  /// Indexed by peer NodeId; a worker's coordinator link is entry 0.
+  std::vector<std::unique_ptr<netio::Conn>> conns_;
+  std::map<ActorId, std::unique_ptr<Actor>> hosted_;
+  std::map<ActorId, NodeId> route_;  // ActorId -> hosting node
+  std::deque<Inbound> local_q_;
+  /// External fds polled with the peer links (the serve front end).
+  std::map<int, std::function<void()>> watched_fds_;
+  bool stop_ = false;
+
+ private:
+  struct Timer {
+    double due = 0.0;  // seconds on the run clock
+    std::uint64_t seq = 0;
+    std::function<void()> fn;
+    /// Heap order: the earliest due timer, FIFO among equals, on top.
+    static bool later(const Timer& a, const Timer& b) {
+      return a.due > b.due || (a.due == b.due && a.seq > b.seq);
+    }
+  };
+
+  double now_sec() const;
+  void drain_local();
+  void fire_due_timers();
+  void pump(int timeout_ms);
+  void handle_frames(netio::Conn& conn);
+
+  const std::size_t local_batch_;
+  std::vector<char> node_dead_;
+  std::set<ActorId> retired_;  // ids whose traffic is void
+  std::vector<ActorId> start_q_;
+  std::vector<Timer> timer_heap_;
+  std::uint64_t timer_seq_ = 0;
+  /// Timers set before run() park here until the clock exists.
+  std::vector<std::pair<double, std::function<void()>>> pre_run_timers_;
+  bool running_ = false;
+  std::chrono::steady_clock::time_point epoch_;
+};
+
 /// The coordinator-side Runtime.  Constructing it launches and handshakes
 /// the whole worker fleet; run() drives the scheduler plus all socket I/O
 /// on the calling thread until request_stop(), then shuts the fleet down.
-class SocketRuntime final : public Runtime {
+class SocketRuntime final : public SocketLoop {
  public:
   /// `config` is shipped to every worker in the WELCOME frame (minus the
   /// trace sink -- tracing only observes coordinator-side actors).
@@ -89,20 +203,10 @@ class SocketRuntime final : public Runtime {
   ~SocketRuntime() override;
 
   ActorId spawn(NodeId node, std::unique_ptr<Actor> actor) override;
-  void send(Actor& from, ActorId to, Message msg) override;
-  void defer(Actor& from, Message msg) override;
-  void charge(Actor& from, double cpu_seconds) override;
-  SimTime actor_now(const Actor& actor) const override;
-  void defer_after(Actor& from, Message msg, double delay_sec) override;
   void kill_node(NodeId node) override;
   void schedule_kill(NodeId node, double at) override;
-  bool node_alive(NodeId node) const override;
   std::uint32_t kills_executed() const override { return kills_executed_; }
   void run() override;
-  void request_stop() override;
-  const ClusterSpec& cluster() const override { return spec_; }
-  std::size_t actor_count() const override { return actors_.size(); }
-  Actor& actor(ActorId id) override;
 
   // --- serving-layer extensions (see src/serve/) -----------------------
 
@@ -127,27 +231,16 @@ class SocketRuntime final : public Runtime {
   void unwatch_fd(int fd);
 
  private:
-  struct Timer {
-    double due = 0.0;  // seconds on the run clock
-    std::uint64_t seq = 0;
-    std::function<void()> fn;
-  };
-  struct Inbound {
-    ActorId to = kInvalidActor;
-    NodeId from_node = -1;
-    Message msg;
-  };
+  void after_timers() override;
+  void before_poll() override;
+  void on_control_frame(const wire::Frame& f) override;
+  void on_unrouted_send(ActorId to, Message msg) override;
+  void on_unhosted_receive(NodeId from, ActorId to, Message msg) override;
 
-  void handshake(std::uint16_t port);
-  void deliver_local(const Inbound& in);
-  void drain_local(std::size_t budget);
-  void fire_due_timers();
-  void enqueue_timer(double delay_sec, std::function<void()> fn);
-  double now_sec() const;
-  void pump_sockets(int timeout_ms);
-  void handle_frames(netio::Conn& conn);
-  void mark_node_dead(NodeId node);
-  void broadcast_announce(ActorId id, NodeId node);
+  void handshake();
+  /// Queue one frame to every live worker except `except` (0 = none).
+  void broadcast(wire::FrameKind kind, const std::vector<std::uint8_t>& body,
+                 NodeId except = 0);
   void shutdown_cluster();
   /// Ship `config` (if it differs from the handshake config) to `node`
   /// exactly once; returns the config id to stamp into the SPAWN frame
@@ -155,37 +248,16 @@ class SocketRuntime final : public Runtime {
   std::uint32_t ship_config(NodeId node,
                             const std::shared_ptr<const EhjaConfig>& config);
 
-  ClusterSpec spec_;
   EhjaConfig config_;
   Launcher launcher_;
   int listen_fd_ = -1;
-
-  /// Indexed by NodeId; entry 0 (the coordinator itself) stays null.
-  std::vector<std::unique_ptr<netio::Conn>> conns_;
-
-  std::vector<std::unique_ptr<Actor>> actors_;  // remote ones stay unbound
-  std::vector<NodeId> route_;                   // ActorId -> hosting node
-  std::set<ActorId> retired_;                   // ids whose traffic is void
-  std::deque<Inbound> local_q_;
-  std::vector<Actor*> start_q_;  // pre-run local spawns awaiting on_start
-
-  std::vector<Timer> timer_heap_;
-  std::uint64_t timer_seq_ = 0;
-  /// defer_after()/schedule_kill() before run(): delays are relative to run
-  /// start (ThreadRuntime semantics), so they park here until the clock
-  /// exists.
-  std::vector<std::pair<double, std::function<void()>>> pre_run_timers_;
-
-  std::vector<char> node_dead_;
+  ActorId next_id_ = 0;
   std::uint32_t kills_executed_ = 0;
-  bool running_ = false;
-  bool stop_ = false;
   bool stopping_ = false;  // shutdown begun: exits are no longer failures
   bool shutdown_done_ = false;
-  std::chrono::steady_clock::time_point epoch_;
 
-  // Serving-layer state: per-query config shipping and the external-fd /
-  // idle-hook plumbing (empty and inert for classic one-shot runs).
+  // Serving-layer state: per-query config shipping and the idle hook
+  // (empty and inert for classic one-shot runs).
   struct ShippedConfig {
     /// Pinned so the pointer key in config_ids_ can never be recycled by a
     /// later allocation (a few hundred bytes per distinct query config).
@@ -197,7 +269,6 @@ class SocketRuntime final : public Runtime {
   std::map<std::uint32_t, ShippedConfig> shipped_configs_;
   std::uint32_t next_config_id_ = 1;
   std::function<void()> idle_hook_;
-  std::map<int, std::function<void()>> watched_fds_;
 };
 
 }  // namespace ehja

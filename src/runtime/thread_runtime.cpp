@@ -77,6 +77,10 @@ void ThreadRuntime::send(Actor& from, ActorId to, Message msg) {
           std::memory_order_acquire)) {
     return;
   }
+  deliver(to, std::move(msg));
+}
+
+void ThreadRuntime::deliver(ActorId to, Message msg) {
   Cell* cell = nullptr;
   {
     std::scoped_lock lock(registry_mutex_);
@@ -90,24 +94,6 @@ void ThreadRuntime::send(Actor& from, ActorId to, Message msg) {
   {
     std::scoped_lock lock(cell->mutex);
     cell->mailbox.push_back(std::move(msg));
-  }
-  cell->cv.notify_one();
-}
-
-void ThreadRuntime::deliver_direct(ActorId to, const Message& msg) {
-  Cell* cell = nullptr;
-  {
-    std::scoped_lock lock(registry_mutex_);
-    EHJA_CHECK(to >= 0 && static_cast<std::size_t>(to) < cells_.size());
-    cell = cells_[static_cast<std::size_t>(to)].get();
-  }
-  if (node_dead_[static_cast<std::size_t>(cell->actor->node())].load(
-          std::memory_order_acquire)) {
-    return;
-  }
-  {
-    std::scoped_lock lock(cell->mutex);
-    cell->mailbox.push_back(msg);
   }
   cell->cv.notify_one();
 }
@@ -133,7 +119,7 @@ void ThreadRuntime::defer_after(Actor& from, Message msg, double delay_sec) {
             std::memory_order_acquire)) {
       return;
     }
-    deliver_direct(to, *shared);
+    deliver(to, *shared);
   });
 }
 
@@ -229,8 +215,13 @@ void ThreadRuntime::run() {
       if (!cell->thread.joinable()) start_thread(*cell);
     }
   }
-  std::unique_lock lock(stop_mutex_);
-  stop_cv_.wait(lock, [this] { return stop_.load(std::memory_order_acquire); });
+  {
+    // Released before joining: a repeat request_stop() from an actor thread
+    // takes stop_mutex_, and join_all() may be waiting on that very thread.
+    std::unique_lock lock(stop_mutex_);
+    stop_cv_.wait(lock,
+                  [this] { return stop_.load(std::memory_order_acquire); });
+  }
   join_all();
 }
 
@@ -287,17 +278,6 @@ void ThreadRuntime::request_stop() {
     }
     cell->cv.notify_all();
   }
-}
-
-std::size_t ThreadRuntime::actor_count() const {
-  std::scoped_lock lock(registry_mutex_);
-  return cells_.size();
-}
-
-Actor& ThreadRuntime::actor(ActorId id) {
-  std::scoped_lock lock(registry_mutex_);
-  EHJA_CHECK(id >= 0 && static_cast<std::size_t>(id) < cells_.size());
-  return *cells_[static_cast<std::size_t>(id)]->actor;
 }
 
 }  // namespace ehja

@@ -48,8 +48,6 @@ class ThreadRuntime final : public Runtime {
   void run() override;
   void request_stop() override;
   const ClusterSpec& cluster() const override { return spec_; }
-  std::size_t actor_count() const override;
-  Actor& actor(ActorId id) override;
 
  private:
   struct Cell {
@@ -74,8 +72,9 @@ class ThreadRuntime final : public Runtime {
   void timer_main();
   void enqueue_timer(std::chrono::steady_clock::time_point when,
                      std::function<void()> fn);
-  /// Mailbox push without a live sender reference (timer-thread delivery).
-  void deliver_direct(ActorId to, const Message& msg);
+  /// Push `msg` into `to`'s mailbox unless `to`'s node is dead (send()'s
+  /// tail, and the timer thread's delivery of deferred self-messages).
+  void deliver(ActorId to, Message msg);
 
   ClusterSpec spec_;
   mutable std::mutex registry_mutex_;

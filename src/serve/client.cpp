@@ -38,9 +38,7 @@ bool ServeClient::connect(std::uint16_t port, const std::string& tenant,
 
   ClientHelloPayload hello;
   hello.tenant = tenant;
-  wire::Writer w;
-  encode(w, hello);
-  if (!send_frame(wire::FrameKind::kClientHello, w.data())) {
+  if (!send_frame(wire::FrameKind::kClientHello, wire::encode_body(hello))) {
     if (error != nullptr) *error = "connection lost during hello";
     close();
     return false;
@@ -69,11 +67,10 @@ bool ServeClient::send_frame(wire::FrameKind kind,
 }
 
 void ServeClient::handle(const wire::Frame& f) {
-  wire::Reader r(f.body);
   switch (f.kind) {
     case wire::FrameKind::kServerHello: {
       ServerHelloPayload hello;
-      if (decode_payload(r, hello)) {
+      if (wire::decode_body(f.body, hello)) {
         hello_ = hello;
         if (hello_.message.empty()) hello_.message = hello_.ok ? "" : "denied";
       }
@@ -81,7 +78,7 @@ void ServeClient::handle(const wire::Frame& f) {
     }
     case wire::FrameKind::kQueryAccepted: {
       QueryAcceptedPayload acc;
-      if (!decode_payload(r, acc)) return;
+      if (!wire::decode_body(f.body, acc)) return;
       SubmitReply reply;
       reply.accepted = true;
       reply.query_id = acc.query_id;
@@ -91,7 +88,7 @@ void ServeClient::handle(const wire::Frame& f) {
     }
     case wire::FrameKind::kQueryRejected: {
       QueryRejectedPayload rej;
-      if (!decode_payload(r, rej)) return;
+      if (!wire::decode_body(f.body, rej)) return;
       SubmitReply reply;
       reply.accepted = false;
       reply.reason = rej.reason;
@@ -102,12 +99,14 @@ void ServeClient::handle(const wire::Frame& f) {
     }
     case wire::FrameKind::kQueryResult: {
       QueryResultPayload result;
-      if (decode_payload(r, result)) results_[result.query_id] = result;
+      if (wire::decode_body(f.body, result)) results_[result.query_id] = result;
       return;
     }
     case wire::FrameKind::kQueryStatus: {
       QueryStatusPayload status;
-      if (decode_payload(r, status)) statuses_[status.query_id] = status;
+      if (wire::decode_body(f.body, status)) {
+        statuses_[status.query_id] = status;
+      }
       return;
     }
     case wire::FrameKind::kShutdownNotice:
@@ -153,9 +152,7 @@ std::optional<SubmitReply> ServeClient::submit(const EhjaConfig& config,
   SubmitQueryPayload payload;
   payload.client_seq = seq;
   payload.config = config;
-  wire::Writer w;
-  encode(w, payload);
-  if (!send_frame(wire::FrameKind::kSubmitQuery, w.data())) {
+  if (!send_frame(wire::FrameKind::kSubmitQuery, wire::encode_body(payload))) {
     return std::nullopt;
   }
   const bool got = pump_until(
@@ -195,10 +192,8 @@ std::optional<QueryStatusPayload> ServeClient::status(std::uint64_t query_id,
                                                       double timeout_sec) {
   QueryStatusReqPayload req;
   req.query_id = query_id;
-  wire::Writer w;
-  encode(w, req);
   statuses_.erase(query_id);
-  if (!send_frame(wire::FrameKind::kQueryStatusReq, w.data())) {
+  if (!send_frame(wire::FrameKind::kQueryStatusReq, wire::encode_body(req))) {
     return std::nullopt;
   }
   const bool got = pump_until(
@@ -211,10 +206,8 @@ std::optional<QueryStatusPayload> ServeClient::cancel(std::uint64_t query_id,
                                                       double timeout_sec) {
   CancelQueryPayload req;
   req.query_id = query_id;
-  wire::Writer w;
-  encode(w, req);
   statuses_.erase(query_id);
-  if (!send_frame(wire::FrameKind::kCancelQuery, w.data())) {
+  if (!send_frame(wire::FrameKind::kCancelQuery, wire::encode_body(req))) {
     return std::nullopt;
   }
   const bool got = pump_until(

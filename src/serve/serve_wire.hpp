@@ -3,11 +3,12 @@
 // These ride the same frame layer as the fleet protocol (net/wire.hpp:
 // magic, version, kind, CRC32) but cross a *trust boundary*: the peer may
 // be a newer build, a different tool, or garbage.  Every payload is a plain
-// field list walked by net/wire.hpp's Enc/Dec archives, so every decoder
-// here is total -- truncation, bad lengths, unknown enum values and
-// out-of-range integers return false, never abort or wrap -- and the server
-// pairs them with netio::try_next_frame so a hostile byte stream costs one
-// connection, not the process.
+// field list that wire::encode_body / wire::decode_body walk with
+// net/wire.hpp's Enc/Dec archives, so every decoder here is total --
+// truncation, bad lengths, unknown enum values and out-of-range integers
+// return false, never abort or wrap -- and the server pairs them with
+// netio::try_next_frame so a hostile byte stream costs one connection, not
+// the process.
 //
 // Conversation shape (client side in serve/client.hpp):
 //
@@ -173,19 +174,6 @@ bool fields(A& a, CancelQueryPayload& v) {
 template <typename A>
 bool fields(A& a, ShutdownNoticePayload& v) {
   return a(v.message);
-}
-
-/// Encode one payload as a frame body.
-template <typename Payload>
-void encode(wire::Writer& w, const Payload& v) {
-  wire::Enc{w}(v);
-}
-
-/// Decode a frame body into `v`: false unless the body holds exactly one
-/// valid payload (a trailing byte is as corrupt as a missing one).
-template <typename Payload>
-bool decode_payload(wire::Reader& r, Payload& v) {
-  return wire::Dec{r}(v) && r.remaining() == 0;
 }
 
 }  // namespace ehja::serve

@@ -156,9 +156,7 @@ void JoinService::send_payload(std::uint64_t client_id, wire::FrameKind kind,
                                const Payload& payload) {
   const auto it = clients_.find(client_id);
   if (it == clients_.end() || !it->second.conn->usable()) return;
-  wire::Writer w;
-  encode(w, payload);
-  netio::queue_frame(*it->second.conn, kind, w.data());
+  netio::queue_frame(*it->second.conn, kind, wire::encode_body(payload));
   netio::flush_out(*it->second.conn);
 }
 
@@ -180,8 +178,7 @@ void JoinService::dispatch(std::uint64_t client_id, const wire::Frame& f) {
   switch (f.kind) {
     case wire::FrameKind::kClientHello: {
       ClientHelloPayload hello;
-      wire::Reader r(f.body);
-      if (!decode_payload(r, hello)) {
+      if (!wire::decode_body(f.body, hello)) {
         send_reject(client_id, 0, RejectCode::kBadFrame, 0, "corrupt hello");
         client.drop = true;
         return;
@@ -221,8 +218,7 @@ void JoinService::dispatch(std::uint64_t client_id, const wire::Frame& f) {
 void JoinService::handle_submit(std::uint64_t client_id, const wire::Frame& f) {
   ClientConn& client = clients_.at(client_id);
   SubmitQueryPayload submit;
-  wire::Reader r(f.body);
-  if (!decode_payload(r, submit)) {
+  if (!wire::decode_body(f.body, submit)) {
     ++queries_rejected_;
     send_reject(client_id, 0, RejectCode::kBadFrame, 0, "corrupt submit");
     return;
@@ -293,8 +289,7 @@ QueryState JoinService::state_of(QueryId id,
 
 void JoinService::handle_status(std::uint64_t client_id, const wire::Frame& f) {
   QueryStatusReqPayload req;
-  wire::Reader r(f.body);
-  if (!decode_payload(r, req)) {
+  if (!wire::decode_body(f.body, req)) {
     send_reject(client_id, 0, RejectCode::kBadFrame, 0, "corrupt status");
     return;
   }
@@ -306,8 +301,7 @@ void JoinService::handle_status(std::uint64_t client_id, const wire::Frame& f) {
 
 void JoinService::handle_cancel(std::uint64_t client_id, const wire::Frame& f) {
   CancelQueryPayload req;
-  wire::Reader r(f.body);
-  if (!decode_payload(r, req)) {
+  if (!wire::decode_body(f.body, req)) {
     send_reject(client_id, 0, RejectCode::kBadFrame, 0, "corrupt cancel");
     return;
   }

@@ -17,7 +17,6 @@ enum class LogLevel : int { kTrace = 0, kDebug = 1, kInfo = 2, kWarn = 3, kError
 /// Global threshold; messages below it are dropped.  Defaults to kWarn so
 /// tests and benches stay quiet; examples turn it up.
 void set_log_level(LogLevel level);
-LogLevel log_level();
 
 /// True when `level` would be emitted.
 bool log_enabled(LogLevel level);

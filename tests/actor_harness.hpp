@@ -70,8 +70,7 @@ class HarnessRuntime final : public Runtime {
   void run() override {}
   void request_stop() override { stopped_ = true; }
   const ClusterSpec& cluster() const override { return spec_; }
-  std::size_t actor_count() const override { return actors_.size(); }
-  Actor& actor(ActorId id) override { return *actors_.at(static_cast<std::size_t>(id)); }
+  Actor& actor(ActorId id) { return *actors_.at(static_cast<std::size_t>(id)); }
 
   // --- test controls ---
   void start(ActorId id) { actor(id).on_start(); }

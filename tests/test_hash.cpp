@@ -275,14 +275,6 @@ TEST(LocalHashTableTest, HistogramCountsEntries) {
   EXPECT_EQ(hist.bin_weight(9), 1u);
 }
 
-TEST(LocalHashTableTest, ClearResetsEverything) {
-  auto table = small_table();
-  table.insert(tuple_at_position(1, 1));
-  table.clear();
-  EXPECT_EQ(table.tuple_count(), 0u);
-  EXPECT_EQ(table.footprint_bytes(), 0u);
-}
-
 // ------------------------------------------ scalar/batched equivalence fuzz
 //
 // insert_batch/probe_batch must be byte-identical to driving the scalar

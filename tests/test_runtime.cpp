@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "runtime/actor.hpp"
@@ -203,6 +205,26 @@ TEST(ThreadRuntimeTest, DynamicSpawnWhileRunning) {
   rt.spawn(0, std::make_unique<Spawner>(flag));
   rt.run();
   EXPECT_EQ(flag.load(), 1);
+}
+
+// Several actors may see the end condition at once, so request_stop() must
+// be callable again from an actor thread that run() is already joining.
+TEST(ThreadRuntimeTest, RepeatStopFromAnActorThreadDoesNotDeadlock) {
+  ThreadRuntime rt(make_uniform_cluster(1));
+
+  class DoubleStopper final : public Actor {
+   public:
+    void on_start() override {
+      rt().request_stop();
+      // Long enough for run() to wake and start joining this thread.
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      rt().request_stop();
+    }
+    void on_message(const Message&) override {}
+  };
+
+  rt.spawn(0, std::make_unique<DoubleStopper>());
+  rt.run();  // returns only if the second request_stop() did not block
 }
 
 TEST(SimRuntimeTest, DeferCarriesNoNetworkCost) {

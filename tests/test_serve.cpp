@@ -281,9 +281,8 @@ TEST(ServeForwardCompat, BadFrameGetsRejectAndServerSurvives) {
     const wire::Frame farewell =
         netio::must_recv_frame(*conn, 10.0, "farewell reject");
     ASSERT_EQ(farewell.kind, wire::FrameKind::kQueryRejected);
-    wire::Reader r(farewell.body);
     serve::QueryRejectedPayload reject;
-    ASSERT_TRUE(serve::decode_payload(r, reject));
+    ASSERT_TRUE(wire::decode_body(farewell.body, reject));
     EXPECT_EQ(reject.reason, serve::RejectCode::kBadFrame);
   }
 

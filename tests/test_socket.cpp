@@ -127,6 +127,35 @@ TEST(SocketRecovery, SigkillMidBuildStillMatchesOracle) {
   EXPECT_EQ(run.metrics.build_tuples_total, config.build_rel.tuple_count);
 }
 
+// A time-triggered kill takes the other path to a corpse: the coordinator's
+// timer fires, the launcher SIGKILLs the worker from outside, and the next
+// reap folds the exit into the fault model.  The relations are large enough
+// that 50 ms lands inside the run, not after it.
+TEST(SocketRecovery, TimedJoinKillStillMatchesOracle) {
+  EhjaConfig config;
+  config.algorithm = Algorithm::kHybrid;
+  config.join_pool_nodes = 4;
+  config.data_sources = 2;
+  config.build_rel.tuple_count = 400'000;
+  config.probe_rel.tuple_count = 400'000;
+  config.build_rel.dist = DistributionSpec::SmallDomain(65536);
+  config.probe_rel.dist = DistributionSpec::SmallDomain(65536);
+  config.node_hash_memory_bytes = 4 * kMiB;
+  KillSpec kill;
+  kill.pool_index = 1;
+  kill.at_time = 0.05;
+  config.faults.kills.push_back(kill);
+  config.ft.heartbeat_interval_sec = 0.1;
+  config.ft.heartbeat_timeout_sec = 1.0;
+
+  const RunResult run = run_ehja(config, RuntimeKind::kSocket);
+  EXPECT_EQ(run.join(), reference_join(config));
+  EXPECT_EQ(run.metrics.failures_injected, 1u);  // the kill was executed
+  EXPECT_EQ(run.metrics.failures_detected, 1u);
+  EXPECT_GE(run.metrics.recoveries, 1u);
+  EXPECT_EQ(run.metrics.build_tuples_total, config.build_rel.tuple_count);
+}
+
 // ---------------------------------------------------------------------------
 // Data-source SIGKILL: the victim is a *source* worker process, so an entire
 // input slice vanishes mid-stream.  Recovery must reassign the slice to a
