@@ -73,11 +73,6 @@ int main(int argc, char** argv) {
     run_case("split variant: requester midpoint (sigma=1e-4)", config);
   }
   {
-    EhjaConfig config = paper_config(scale);
-    config.reshuffle_bins = 1024;  // coarse: hot bins become indivisible
-    run_case("coarse reshuffle histogram (1024 bins)", config);
-  }
-  {
     // Extension: histogram-balanced initial partitioning under skew --
     // how much expansion does a skew-aware start avoid?
     EhjaConfig config = paper_config(scale);

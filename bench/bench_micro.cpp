@@ -1,15 +1,16 @@
 // google-benchmark microbenchmarks of the substrate hot paths: hash-table
 // insert/probe, linear-hash addressing, workload sampling, DES event
-// throughput, the greedy partitioner.
+// throughput, the reshuffle planner's greedy sweep.
 #include <benchmark/benchmark.h>
 
+#include <numeric>
 #include <vector>
 
+#include "core/reshuffle.hpp"
 #include "hash/hash_family.hpp"
 #include "hash/local_hash_table.hpp"
 #include "join/serial_join.hpp"
 #include "sim/simulator.hpp"
-#include "util/partition.hpp"
 #include "util/rng.hpp"
 #include "workload/distribution.hpp"
 #include "workload/generator.hpp"
@@ -104,15 +105,23 @@ void BM_SimulatorEventThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorEventThroughput)->Arg(10000);
 
-void BM_GreedyPartition(benchmark::State& state) {
+// Plans a 16-member set over the whole position range holding `range(0)`
+// evenly spaced occupied positions: the sweep costs what is occupied.
+void BM_ReshufflePlan(benchmark::State& state) {
   SplitMix64 rng(7);
-  std::vector<std::uint64_t> weights(4096);
-  for (auto& w : weights) w = rng.next_below(1000);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(greedy_contiguous_partition(weights, 16));
+  const auto cells = static_cast<std::uint64_t>(state.range(0));
+  PositionHistogram hist(0, kPositionCount);
+  for (std::uint64_t c = 0; c < cells; ++c) {
+    hist.push(c * (kPositionCount / cells), 1 + rng.next_below(1000));
   }
+  std::vector<ActorId> members(16);
+  std::iota(members.begin(), members.end(), 1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(plan_reshuffle(hist, members));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_GreedyPartition);
+BENCHMARK(BM_ReshufflePlan)->Arg(4096)->Arg(1 << 20);
 
 void BM_SerialJoin(benchmark::State& state) {
   RelationSpec r_spec{RelTag::kR, 50000, Schema{100},

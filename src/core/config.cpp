@@ -71,8 +71,10 @@ std::optional<std::string> EhjaConfig::validate_or_error() const {
   if (node_hash_memory_bytes < tuple_footprint(build_rel.schema)) {
     return "per-node hash memory smaller than a single tuple footprint";
   }
-  if (reshuffle_bins < join_pool_nodes) {
-    return "reshuffle bins must cover the join pool (bins >= pool)";
+  if (algorithm == Algorithm::kSplit &&
+      split_variant == SplitVariant::kLinearPointer &&
+      balanced_initial_partition) {
+    return "linear-pointer split needs equal initial ranges";
   }
   if (spill_fanout < 1) return "spill fanout must be >= 1";
   if (intra_threads < 1) return "intra threads must be >= 1";

@@ -164,14 +164,6 @@ struct EhjaConfig {
   /// without them, and emitting them would perturb their event timing).
   std::uint32_t source_progress_slices = 8;
 
-  /// Reshuffle histogram resolution (bins per replicated range).  The paper
-  /// sums *per-position* entry counts ("each node counts the number of
-  /// elements at each hash table position"), so the default is effectively
-  /// one bin per position (BinnedHistogram clamps to the range width);
-  /// coarser settings trade reshuffle-balance quality for histogram
-  /// bandwidth -- under extreme skew a coarse bin can become an indivisible
-  /// hot unit (see EXPERIMENTS.md).
-  std::size_t reshuffle_bins = kPositionCount;
   /// Sub-partitions per node for out-of-core spilling.
   std::size_t spill_fanout = 16;
 
@@ -188,7 +180,8 @@ struct EhjaConfig {
   /// Histogram-balanced initial partitioning (extension; the ss3 related
   /// work's frequency-based redistribution idea applied *up front*): the
   /// scheduler samples the build distribution and cuts the initial ranges
-  /// with the greedy partitioner instead of equal widths, so skewed
+  /// with the reshuffle planner (core/reshuffle.hpp) over the sample's
+  /// per-position histogram instead of equal widths, so skewed
   /// workloads start closer to balance and expand less.  The paper's own
   /// algorithms always start from equal ranges (the default).
   bool balanced_initial_partition = false;

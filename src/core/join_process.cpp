@@ -368,14 +368,15 @@ void JoinProcessActor::handle_histogram_request(
   // redistribution itself must not trigger further expansion.
   frozen_ = false;
   expansion_enabled_ = false;
-  BinnedHistogram hist = table_->histogram(req.bins);
+  // The scan still walks every chain of the range; the reply carries only
+  // the occupied positions, charged at the bytes their codec writes.
   charge(static_cast<double>(table_->range().width()) * 2e-9 +
          config_->cost.control_handle_sec);
   HistogramReplyPayload reply;
   reply.set_id = req.set_id;
   reply.round = req.round;
-  reply.histogram = std::move(hist);
-  const std::size_t wire = reply.histogram.wire_bytes();
+  reply.histogram = table_->histogram();
+  const std::size_t wire = kControlWireBytes + reply.histogram.wire_bytes();
   send(scheduler_, make_message(Tag::kHistogramReply, std::move(reply), wire));
 }
 

@@ -173,7 +173,6 @@ struct StartProbePayload {
 
 struct HistogramRequestPayload {
   std::uint64_t set_id = 0;
-  std::size_t bins = 0;
   /// Reshuffle attempt number.  A recovery can abort a reshuffle mid-flight
   /// and re-run it; the round stamp lets the scheduler drop stragglers from
   /// the aborted attempt (always 0 in fault-free runs).
@@ -182,7 +181,7 @@ struct HistogramRequestPayload {
 
 struct HistogramReplyPayload {
   std::uint64_t set_id = 0;
-  BinnedHistogram histogram;
+  PositionHistogram histogram;
   std::uint32_t round = 0;
 };
 

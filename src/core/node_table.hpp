@@ -112,9 +112,7 @@ class NodeTable {
     return table_.extract_range(sub);
   }
   void set_range(const PosRange& next) { table_.set_range(next); }
-  BinnedHistogram histogram(std::size_t bins) const {
-    return table_.histogram(bins);
-  }
+  PositionHistogram histogram() const { return table_.histogram(); }
 
  private:
   /// Lanes to fan `rows` out to: 1 without a pool or below the cutoff.

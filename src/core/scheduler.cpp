@@ -66,12 +66,21 @@ void SchedulerActor::on_start() {
 
   if (config_->balanced_initial_partition) {
     // Sample the build distribution and cut the initial ranges to equal
-    // *weight* instead of equal width (config.hpp).  Sampling is real work
-    // on the front-end node.
-    BinnedHistogram sampled(0, kPositionCount, config_->reshuffle_bins);
+    // *weight* instead of equal width (config.hpp): the sorted sample
+    // becomes the per-position histogram the reshuffle plans from.
+    // Sampling is real work on the front-end node.
+    std::vector<std::uint64_t> positions(config_->partition_sample);
     SplitMix64 rng(config_->seed, /*stream=*/0xba1a);
-    for (std::uint64_t i = 0; i < config_->partition_sample; ++i) {
-      sampled.add(position_of(sample_key(config_->build_rel.dist, rng)));
+    for (std::uint64_t& pos : positions) {
+      pos = position_of(sample_key(config_->build_rel.dist, rng));
+    }
+    std::sort(positions.begin(), positions.end());
+    PositionHistogram sampled(0, kPositionCount);
+    for (std::size_t i = 0; i < positions.size();) {
+      std::size_t run = i + 1;
+      while (run < positions.size() && positions[run] == positions[i]) ++run;
+      sampled.push(positions[i], run - i);
+      i = run;
     }
     charge(static_cast<double>(config_->partition_sample) *
            config_->cost.tuple_generate_sec);
@@ -932,7 +941,6 @@ void SchedulerActor::start_reshuffle() {
     reshuffle_sets_.emplace(i, std::move(set));
     HistogramRequestPayload req;
     req.set_id = i;
-    req.bins = config_->reshuffle_bins;
     req.round = reshuffle_round_;
     for (ActorId member : entry.owners) {
       send(member, make_message(Tag::kHistogramRequest, req,

@@ -245,7 +245,7 @@ class SchedulerActor final : public Actor,
   // hybrid reshuffle
   struct ReshuffleSet {
     std::vector<ActorId> members;
-    std::optional<BinnedHistogram> merged;
+    std::optional<PositionHistogram> merged;
     std::uint32_t replies = 0;
   };
   std::map<std::uint64_t, ReshuffleSet> reshuffle_sets_;  // key: entry index

@@ -366,11 +366,14 @@ void LocalHashTable::set_range(const PosRange& next) {
   // attribute, not position) remains valid.
 }
 
-BinnedHistogram LocalHashTable::histogram(std::size_t bins) const {
-  BinnedHistogram hist(range_.lo, range_.hi, bins);
-  for (std::uint64_t pos = range_.lo; pos < range_.hi; ++pos) {
-    const ChainRef& c = chain(pos);
-    if (c.count != 0) hist.add(pos, c.count);
+PositionHistogram LocalHashTable::histogram() const {
+  PositionHistogram hist(range_.lo, range_.hi);
+  // At most one cell per entry; a replica of a large uniform build fills
+  // most of its range, so reserving avoids regrowing a near-range-sized list.
+  hist.reserve(static_cast<std::size_t>(
+      std::min<std::uint64_t>(tuple_count_, chains_.size())));
+  for (std::size_t i = 0; i < chains_.size(); ++i) {
+    if (chains_[i].count != 0) hist.push(range_.lo + i, chains_[i].count);
   }
   return hist;
 }

@@ -46,6 +46,11 @@
 // the caller can re-chunk and ship them, keeping accounting exact.
 // (Removed slab entries are never reclaimed; the slab high-water mark is
 // bounded by the tuples this node ever inserted.)
+//
+// histogram() feeds the hybrid reshuffle's global sum: one pass over the
+// chain array emits each non-empty chain's (position, count) in position
+// order, so the result is as large as the occupied positions, not the
+// range (util/histogram.hpp).
 #pragma once
 
 #include <cstdint>
@@ -133,8 +138,9 @@ class LocalHashTable {
   /// must lie inside the new range (checked).
   void set_range(const PosRange& next);
 
-  /// Per-position entry counts binned for the reshuffle global sum.
-  BinnedHistogram histogram(std::size_t bins) const;
+  /// Entry count of every non-empty position, in position order, for the
+  /// reshuffle global sum.
+  PositionHistogram histogram() const;
 
  private:
   static constexpr std::uint32_t kNil = 0xffffffffu;

@@ -285,7 +285,7 @@ bool fields(A& a, StartProbePayload& v) {
 
 template <typename A>
 bool fields(A& a, HistogramRequestPayload& v) {
-  return a(v.set_id, v.bins, v.round);
+  return a(v.set_id, v.round);
 }
 
 template <typename A>
@@ -413,7 +413,7 @@ bool fields(A& a, EhjaConfig& v) {
   return a(v.algorithm, v.initial_join_nodes, v.join_pool_nodes,
            v.data_sources, v.node_hash_memory_bytes, v.build_rel, v.probe_rel,
            v.chunk_tuples, v.generation_slice_tuples, fixed64(v.seed),
-           v.source_progress_slices, v.reshuffle_bins, v.spill_fanout,
+           v.source_progress_slices, v.spill_fanout,
            v.pick_policy, v.split_variant, v.balanced_initial_partition,
            v.partition_sample, v.link, v.cost, v.disk, v.faults, v.ft,
            v.intra_threads, v.capture_output, v.pipeline_stage);
@@ -491,37 +491,47 @@ bool Dec::get(PartitionMap& v) {
   return true;
 }
 
-void Enc::put(const BinnedHistogram& v) {
-  (*this)(v.lo(), v.hi(), v.weights());
+// Sparse cells are delta-coded: each gap counts the empty positions since
+// the previous cell (or since lo), so a densely occupied range costs about
+// two bytes per cell.  PositionHistogram::wire_bytes() mirrors this layout.
+void Enc::put(const PositionHistogram& v) {
+  (*this)(v.lo(), v.hi(), v.cells().size());
+  std::uint64_t next = v.lo();
+  for (const PositionHistogram::Cell& c : v.cells()) {
+    w_.varint(c.position - next);
+    w_.varint(c.count);
+    next = c.position + 1;
+  }
 }
 
-bool Dec::get(BinnedHistogram& v) {
+bool Dec::get(PositionHistogram& v) {
   std::uint64_t lo = 0;
   std::uint64_t hi = 0;
-  std::uint64_t bins = 0;
-  if (!(*this)(lo, hi, bins)) return false;
-  if (bins == 0) {
-    // Only a default-constructed (never-initialized) histogram has no bins.
-    if (lo != 0 || hi != 0) {
-      r_.fail();
-      return false;
-    }
-    v = BinnedHistogram{};
-    return true;
-  }
-  // The constructor clamps bins to the range width, so a legitimate encoding
-  // always satisfies bins <= hi - lo; reconstructing with the encoded count
-  // then reproduces the exact geometry (width = span / bins).
-  if (hi <= lo || bins > hi - lo || !r_.can_hold(bins, 1)) {
+  std::uint64_t n = 0;
+  if (!(*this)(lo, hi, n)) return false;
+  // Re-validate what push() would abort on: cells inside [lo, hi) and
+  // strictly increasing (a gap can never step back), non-zero counts, and a
+  // total that fits in u64.
+  if (hi < lo || n > hi - lo || !r_.can_hold(n, 2)) {
     r_.fail();
     return false;
   }
-  v = BinnedHistogram(lo, hi, static_cast<std::size_t>(bins));
-  for (std::uint64_t i = 0; i < bins; ++i) {
-    const std::uint64_t weight = r_.varint();
+  PositionHistogram hist(lo, hi);
+  hist.reserve(static_cast<std::size_t>(n));
+  std::uint64_t next = lo;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const std::uint64_t gap = r_.varint();
+    const std::uint64_t count = r_.varint();
     if (!r_.ok()) return false;
-    if (weight > 0) v.add(v.bin_lo(static_cast<std::size_t>(i)), weight);
+    if (gap >= hi - next || count == 0 ||
+        count > std::numeric_limits<std::uint64_t>::max() - hist.total()) {
+      r_.fail();
+      return false;
+    }
+    hist.push(next + gap, count);
+    next += gap + 1;
   }
+  v = std::move(hist);
   return true;
 }
 

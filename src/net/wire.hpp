@@ -41,8 +41,9 @@
 //     Four layouts are more than a field list and keep a hand-written
 //     Enc::put / Dec::get pair in wire.cpp: Chunk (columnar -- the ids
 //     column, then the keys column -- so the data plane streams each column
-//     in one loop), PartitionMap and BinnedHistogram (decode re-validates the
-//     invariants their constructors would abort on), and RelationSpec
+//     in one loop), PartitionMap (decode re-validates the invariants its
+//     constructor would abort on), PositionHistogram (delta-coded sparse
+//     cells; decode re-validates what push() would abort on), and RelationSpec
 //     (decode enforces tuple_bytes >= 16, and materialized rows ship
 //     columnar behind a presence flag).
 //   * Frame bodies -- encode_body/decode_body turn one value (a control
@@ -104,7 +105,10 @@ namespace ehja::wire {
 /// captured output rows back to the scheduler.
 /// v7: intra_mode leaves the config handshake (intra-node lanes share one
 /// table; there is no build discipline left to choose).
-inline constexpr std::uint8_t kWireVersion = 7;
+/// v8: the reshuffle histogram ships sparse -- lo, hi, a cell count, then
+/// one delta-coded (gap, count) pair per occupied position -- and its bin
+/// count leaves both the config handshake and the histogram request.
+inline constexpr std::uint8_t kWireVersion = 8;
 
 /// CRC32 (IEEE 802.3, reflected, poly 0xEDB88320) over `size` bytes.
 std::uint32_t crc32(const std::uint8_t* data, std::size_t size);
@@ -275,7 +279,7 @@ class Enc {
   // once in wire.cpp although serve payloads nest it.
   void put(const Chunk& v);
   void put(const PartitionMap& v);
-  void put(const BinnedHistogram& v);
+  void put(const PositionHistogram& v);
   void put(const RelationSpec& v);
   void put(const EhjaConfig& v);
   template <typename T>
@@ -389,7 +393,7 @@ class Dec {
   }
   bool get(Chunk& v);
   bool get(PartitionMap& v);
-  bool get(BinnedHistogram& v);
+  bool get(PositionHistogram& v);
   bool get(RelationSpec& v);
   bool get(EhjaConfig& v);
   template <typename T>

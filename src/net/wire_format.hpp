@@ -3,6 +3,7 @@
 // with the socket runtime's actual framing without depending on the codec.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 
@@ -17,5 +18,10 @@ inline constexpr std::size_t kFrameHeaderBytes = 16;
 /// tag, tuple count, forwarded flag, epoch).  A generous varint bound, kept
 /// constant so chunk wire costs stay a pure function of tuple count.
 inline constexpr std::size_t kChunkEnvelopeBytes = 16;
+
+/// Bytes Writer::varint spends on `v`: LEB128 carries 7 bits per byte.
+constexpr std::size_t varint_bytes(std::uint64_t v) {
+  return (static_cast<std::size_t>(std::bit_width(v | 1)) + 6) / 7;
+}
 
 }  // namespace ehja::wire

@@ -1,53 +1,65 @@
 #include "util/histogram.hpp"
 
-#include <algorithm>
+#include <limits>
+#include <utility>
 
+#include "net/wire_format.hpp"
 #include "util/assert.hpp"
 
 namespace ehja {
 
-BinnedHistogram::BinnedHistogram(std::uint64_t lo, std::uint64_t hi,
-                                 std::size_t bins)
+PositionHistogram::PositionHistogram(std::uint64_t lo, std::uint64_t hi)
     : lo_(lo), hi_(hi) {
-  EHJA_CHECK(hi > lo);
-  EHJA_CHECK(bins > 0);
-  const std::uint64_t span = hi - lo;
-  const std::size_t effective_bins =
-      static_cast<std::size_t>(std::min<std::uint64_t>(bins, span));
-  width_ = span / effective_bins;
-  EHJA_CHECK(width_ >= 1);
-  counts_.assign(effective_bins, 0);
+  EHJA_CHECK(lo <= hi);
 }
 
-void BinnedHistogram::add(std::uint64_t position, std::uint64_t weight) {
-  counts_[bin_of(position)] += weight;
-  total_ += weight;
+void PositionHistogram::push(std::uint64_t position, std::uint64_t count) {
+  EHJA_CHECK_MSG(position >= lo_ && position < hi_,
+                 "position outside histogram range");
+  EHJA_CHECK_MSG(cells_.empty() || position > cells_.back().position,
+                 "histogram cells pushed out of order");
+  EHJA_CHECK(count > 0);
+  EHJA_CHECK(count <= std::numeric_limits<std::uint64_t>::max() - total_);
+  cells_.push_back(Cell{position, count});
+  total_ += count;
 }
 
-void BinnedHistogram::merge(const BinnedHistogram& other) {
-  EHJA_CHECK_MSG(same_geometry(other), "histogram geometry mismatch in merge");
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    counts_[i] += other.counts_[i];
+void PositionHistogram::merge(const PositionHistogram& other) {
+  EHJA_CHECK_MSG(lo_ == other.lo_ && hi_ == other.hi_,
+                 "histogram range mismatch in merge");
+  EHJA_CHECK(other.total_ <=
+             std::numeric_limits<std::uint64_t>::max() - total_);
+  std::vector<Cell> sum;
+  sum.reserve(cells_.size() + other.cells_.size());
+  auto a = cells_.begin();
+  auto b = other.cells_.begin();
+  while (a != cells_.end() && b != other.cells_.end()) {
+    if (a->position < b->position) {
+      sum.push_back(*a++);
+    } else if (b->position < a->position) {
+      sum.push_back(*b++);
+    } else {
+      sum.push_back(Cell{a->position, a->count + b->count});
+      ++a;
+      ++b;
+    }
   }
+  sum.insert(sum.end(), a, cells_.end());
+  sum.insert(sum.end(), b, other.cells_.end());
+  cells_ = std::move(sum);
   total_ += other.total_;
 }
 
-std::uint64_t BinnedHistogram::bin_lo(std::size_t bin) const {
-  EHJA_CHECK(bin < counts_.size());
-  return lo_ + width_ * bin;
-}
-
-std::uint64_t BinnedHistogram::bin_hi(std::size_t bin) const {
-  EHJA_CHECK(bin < counts_.size());
-  return bin + 1 == counts_.size() ? hi_ : lo_ + width_ * (bin + 1);
-}
-
-std::size_t BinnedHistogram::bin_of(std::uint64_t position) const {
-  EHJA_CHECK_MSG(position >= lo_ && position < hi_,
-                 "position outside histogram range");
-  const std::size_t bin = static_cast<std::size_t>((position - lo_) / width_);
-  // Positions in the remainder tail land past the last bin; clamp them in.
-  return std::min(bin, counts_.size() - 1);
+std::size_t PositionHistogram::wire_bytes() const {
+  std::size_t bytes = wire::varint_bytes(lo_) + wire::varint_bytes(hi_) +
+                      wire::varint_bytes(cells_.size());
+  std::uint64_t next = lo_;  // first position the next gap counts from
+  for (const Cell& c : cells_) {
+    bytes += wire::varint_bytes(c.position - next) +
+             wire::varint_bytes(c.count);
+    next = c.position + 1;
+  }
+  return bytes;
 }
 
 }  // namespace ehja

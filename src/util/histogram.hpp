@@ -1,11 +1,14 @@
-// Fixed-width binned histogram over an integer domain.
+// Sparse per-position histogram over an integer domain.
 //
 // The hybrid algorithm's reshuffling step needs per-hash-position entry
-// counts summed across a replica set (paper ss4.2.3).  Shipping one counter
-// per position would cost megabytes, so counts are binned: `BinnedHistogram`
-// covers a contiguous position range [lo, hi) with `bins` equal-width bins.
-// The greedy contiguous partitioner (util/partition.hpp) then operates on the
-// bin weights.
+// counts summed across a replica set (paper ss4.2.3).  A histogram covers a
+// contiguous position range [lo, hi) and holds one cell per *occupied*
+// position: strictly increasing (position, count) pairs, every count
+// non-zero.  Resolution is one position, so the reshuffle planner
+// (core/reshuffle.hpp) cuts exactly where a dense per-position sweep would,
+// while building, shipping, merging and planning cost what the data
+// occupies rather than the range's width (a small-domain query fills a few
+// thousand of 2^20 positions).
 #pragma once
 
 #include <cstdint>
@@ -13,50 +16,45 @@
 
 namespace ehja {
 
-class BinnedHistogram {
+class PositionHistogram {
  public:
-  BinnedHistogram() = default;
+  struct Cell {
+    std::uint64_t position = 0;
+    std::uint64_t count = 0;
+    bool operator==(const Cell&) const = default;
+  };
 
-  /// Covers [lo, hi) with `bins` equal-width bins.  The last bin absorbs the
-  /// remainder when (hi - lo) is not divisible by `bins`.
-  BinnedHistogram(std::uint64_t lo, std::uint64_t hi, std::size_t bins);
+  PositionHistogram() = default;
 
-  void add(std::uint64_t position, std::uint64_t weight = 1);
+  /// Covers [lo, hi) with no cells yet.
+  PositionHistogram(std::uint64_t lo, std::uint64_t hi);
 
-  /// Element-wise sum; both histograms must have identical geometry.  This is
-  /// the "global sum operation ... among the nodes that share the same hash
-  /// table range" from the paper.
-  void merge(const BinnedHistogram& other);
+  void reserve(std::size_t cells) { cells_.reserve(cells); }
+
+  /// Append `count` (> 0) entries at `position`, which must lie in [lo, hi)
+  /// past every cell pushed so far.
+  void push(std::uint64_t position, std::uint64_t count);
+
+  /// Cell-wise sum over the same range, by a linear merge of the two sorted
+  /// cell lists.  This is the "global sum operation ... among the nodes that
+  /// share the same hash table range" from the paper.
+  void merge(const PositionHistogram& other);
 
   std::uint64_t lo() const { return lo_; }
   std::uint64_t hi() const { return hi_; }
-  std::size_t bin_count() const { return counts_.size(); }
-  std::uint64_t bin_weight(std::size_t bin) const { return counts_[bin]; }
-  const std::vector<std::uint64_t>& weights() const { return counts_; }
+  const std::vector<Cell>& cells() const { return cells_; }
   std::uint64_t total() const { return total_; }
 
-  /// Inclusive lower position of `bin`.
-  std::uint64_t bin_lo(std::size_t bin) const;
-  /// Exclusive upper position of `bin`.
-  std::uint64_t bin_hi(std::size_t bin) const;
-  /// Bin index covering `position` (which must lie in [lo, hi)).
-  std::size_t bin_of(std::uint64_t position) const;
-
-  /// Serialized size in bytes when sent over the network (8 B per bin plus a
-  /// small header); used by the cost model.
-  std::size_t wire_bytes() const { return 32 + 8 * counts_.size(); }
-
-  bool same_geometry(const BinnedHistogram& other) const {
-    return lo_ == other.lo_ && hi_ == other.hi_ &&
-           counts_.size() == other.counts_.size();
-  }
+  /// Bytes the wire codec writes for this histogram (net/wire.cpp: lo, hi
+  /// and the cell count, then one (gap, count) varint pair per cell); the
+  /// cost model charges the reshuffle reply by it.
+  std::size_t wire_bytes() const;
 
  private:
   std::uint64_t lo_ = 0;
   std::uint64_t hi_ = 0;
-  std::uint64_t width_ = 1;  // bin width; last bin may be wider
   std::uint64_t total_ = 0;
-  std::vector<std::uint64_t> counts_;
+  std::vector<Cell> cells_;
 };
 
 }  // namespace ehja

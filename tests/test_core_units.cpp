@@ -73,8 +73,10 @@ TEST(ConfigTest, ValidateRejectsNonsensicalKnobs) {
   EXPECT_NE(error_of(c).find("hash memory"), std::string::npos);
 
   c = ok;
-  c.reshuffle_bins = c.join_pool_nodes - 1;
-  EXPECT_NE(error_of(c).find("bins"), std::string::npos);
+  c.algorithm = Algorithm::kSplit;
+  c.split_variant = SplitVariant::kLinearPointer;
+  c.balanced_initial_partition = true;
+  EXPECT_NE(error_of(c).find("equal initial ranges"), std::string::npos);
 }
 
 TEST(ConfigTest, ValidateRejectsBadPhiDetectorKnobs) {

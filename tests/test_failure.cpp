@@ -24,7 +24,6 @@ EhjaConfig tight_config(Algorithm algorithm) {
   // Budget for ~1000 tuples per node: 3 nodes hold 3000 of 20000 tuples.
   config.node_hash_memory_bytes =
       1000 * tuple_footprint(config.build_rel.schema);
-  config.reshuffle_bins = 64;
   return config;
 }
 

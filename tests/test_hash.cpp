@@ -269,10 +269,10 @@ TEST(LocalHashTableTest, HistogramCountsEntries) {
   auto table = small_table(PosRange{0, 100});
   for (int i = 0; i < 10; ++i) table.insert(tuple_at_position(5, 100 + i));
   table.insert(tuple_at_position(95, 1));
-  const auto hist = table.histogram(10);
+  const auto hist = table.histogram();
   EXPECT_EQ(hist.total(), 11u);
-  EXPECT_EQ(hist.bin_weight(0), 10u);
-  EXPECT_EQ(hist.bin_weight(9), 1u);
+  using Cell = PositionHistogram::Cell;
+  EXPECT_EQ(hist.cells(), (std::vector<Cell>{{5, 10}, {95, 1}}));
 }
 
 // ------------------------------------------ scalar/batched equivalence fuzz

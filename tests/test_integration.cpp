@@ -29,7 +29,6 @@ EhjaConfig small_config(Algorithm algorithm,
   config.chunk_tuples = 500;
   config.generation_slice_tuples = 500;
   config.node_hash_memory_bytes = 2000 * tuple_footprint(config.build_rel.schema);
-  config.reshuffle_bins = 256;
   return config;
 }
 

@@ -1,9 +1,11 @@
 // Unit tests for the serial reference join and the hybrid-hash spiller.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "join/grace_join.hpp"
 #include "join/serial_join.hpp"
-#include "join/sort_merge_join.hpp"
 #include "util/units.hpp"
 #include "workload/generator.hpp"
 
@@ -60,6 +62,49 @@ TEST(SerialJoinTest, EmptyRelations) {
 }
 
 // ------------------------------------------------------------- sort-merge
+
+// Serial sort-merge equi-join -- a second, structurally independent oracle.
+// It shares no code or data structure with any hash-based path, so its
+// agreement with serial_hash_join() rules out a common-mode bug in the
+// reference every distributed run is compared against.  (Li, Gao &
+// Snodgrass's sort-merge work is the paper's ss3 point of comparison for
+// skew handling.)  Duplicate keys produce the full cross product, exactly
+// like the hash-based joins.
+JoinResult sort_merge_join(const Relation& build, const Relation& probe) {
+  std::vector<Tuple> r = build.tuples();
+  std::vector<Tuple> s = probe.tuples();
+  const auto by_key = [](const Tuple& a, const Tuple& b) {
+    return a.key < b.key;
+  };
+  std::sort(r.begin(), r.end(), by_key);
+  std::sort(s.begin(), s.end(), by_key);
+
+  JoinResult result;
+  std::size_t i = 0, j = 0;
+  while (i < r.size() && j < s.size()) {
+    if (r[i].key < s[j].key) {
+      ++i;
+    } else if (s[j].key < r[i].key) {
+      ++j;
+    } else {
+      // Equal-key run on both sides: emit the cross product.
+      const std::uint64_t key = r[i].key;
+      std::size_t i_end = i;
+      while (i_end < r.size() && r[i_end].key == key) ++i_end;
+      std::size_t j_end = j;
+      while (j_end < s.size() && s[j_end].key == key) ++j_end;
+      for (std::size_t a = i; a < i_end; ++a) {
+        for (std::size_t b = j; b < j_end; ++b) {
+          ++result.matches;
+          result.checksum += match_signature(r[a].id, s[b].id);
+        }
+      }
+      i = i_end;
+      j = j_end;
+    }
+  }
+  return result;
+}
 
 TEST(SortMergeJoinTest, AgreesWithHashJoinAcrossDistributions) {
   for (const auto& dist :

@@ -193,7 +193,6 @@ TEST(JoinActorTest, ReshuffleShipsForeignRangesAndShrinks) {
   // Histogram request unfreezes + disables expansion.
   HistogramRequestPayload hist;
   hist.set_id = 0;
-  hist.bins = 64;
   fx.rt->deliver(fx.join, make_message(Tag::kHistogramRequest, hist, 48));
   const auto replies = fx.rt->sent_with_tag(Tag::kHistogramReply);
   ASSERT_EQ(replies.size(), 1u);

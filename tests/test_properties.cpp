@@ -46,7 +46,6 @@ EhjaConfig sweep_config(const SweepParam& p) {
   config.generation_slice_tuples = 400;
   config.node_hash_memory_bytes =
       1500 * tuple_footprint(config.build_rel.schema);
-  config.reshuffle_bins = 128;
   return config;
 }
 

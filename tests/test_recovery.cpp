@@ -40,7 +40,6 @@ EhjaConfig chaos_config(Algorithm algorithm) {
   config.generation_slice_tuples = 500;
   config.node_hash_memory_bytes =
       4000 * tuple_footprint(config.build_rel.schema);
-  config.reshuffle_bins = 64;
   // This workload's rebuild bursts are milliseconds, so fast heartbeats
   // keep virtual detection latency proportionate (the production defaults
   // are sized for the full paper-scale workload).

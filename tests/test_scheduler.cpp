@@ -30,7 +30,6 @@ struct Fixture {
     config->initial_join_nodes = initial;
     config->join_pool_nodes = pool;
     config->data_sources = 2;
-    config->reshuffle_bins = 64;
     rt = std::make_unique<HarnessRuntime>(make_cluster(*config));
 
     auto spawn_join = [this](NodeId node) {

@@ -44,7 +44,6 @@ EhjaConfig socket_config(Algorithm algorithm) {
   config.generation_slice_tuples = 500;
   config.node_hash_memory_bytes =
       4000 * tuple_footprint(config.build_rel.schema);
-  config.reshuffle_bins = 64;
   return config;
 }
 

@@ -65,13 +65,13 @@ EhjaConfig random_config(std::uint64_t fuzz_seed) {
   const std::uint64_t budget_tuples = 200 + rng.next_below(4000);
   config.node_hash_memory_bytes =
       budget_tuples * tuple_footprint(config.build_rel.schema);
-  config.reshuffle_bins = 1u << (6 + rng.next_below(9));
   config.balanced_initial_partition = rng.next_below(3) == 0;
   config.partition_sample = 5'000;
   config.seed = fuzz_seed * 7919 + 13;
   // Respect the validated invariants the generator above could violate.
-  if (config.reshuffle_bins < config.join_pool_nodes) {
-    config.reshuffle_bins = config.join_pool_nodes;
+  if (config.algorithm == Algorithm::kSplit &&
+      config.split_variant == SplitVariant::kLinearPointer) {
+    config.balanced_initial_partition = false;
   }
   return config;
 }
@@ -180,7 +180,6 @@ TEST(ThreadSoakTest, RepeatedFullJoinsOnThreads) {
   config.generation_slice_tuples = 400;
   config.node_hash_memory_bytes =
       1200 * tuple_footprint(config.build_rel.schema);
-  config.reshuffle_bins = 256;
   const JoinResult expected = reference_join(config);
   for (int round = 0; round < 3; ++round) {
     const RunResult run = run_ehja(config, RuntimeKind::kThread);

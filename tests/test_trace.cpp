@@ -63,7 +63,6 @@ EhjaConfig traced_config(Algorithm algorithm, TraceSink* sink) {
   config.generation_slice_tuples = 500;
   config.node_hash_memory_bytes =
       1500 * tuple_footprint(config.build_rel.schema);
-  config.reshuffle_bins = 4096;
   config.trace = sink;
   return config;
 }

@@ -1,15 +1,13 @@
 // Unit tests for the util module: RNG determinism and distribution quality,
-// binned histograms, the greedy contiguous partitioner, running statistics.
+// sparse per-position histograms, running statistics.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <numeric>
 #include <set>
 #include <vector>
 
 #include "util/histogram.hpp"
 #include "util/math.hpp"
-#include "util/partition.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/units.hpp"
@@ -95,121 +93,59 @@ TEST(SplitMix64Test, MixIsBijectiveOnSamples) {
   EXPECT_EQ(outputs.size(), 10000u);
 }
 
-// ----------------------------------------------------------- BinnedHistogram
+// --------------------------------------------------------- PositionHistogram
 
-TEST(BinnedHistogramTest, GeometryAndTotals) {
-  BinnedHistogram hist(100, 1100, 10);
-  EXPECT_EQ(hist.bin_count(), 10u);
-  EXPECT_EQ(hist.bin_lo(0), 100u);
-  EXPECT_EQ(hist.bin_hi(9), 1100u);
-  hist.add(100);
-  hist.add(1099, 5);
+using Cell = PositionHistogram::Cell;
+
+TEST(PositionHistogramTest, CellsAndTotals) {
+  PositionHistogram hist(100, 1100);
+  EXPECT_EQ(hist.lo(), 100u);
+  EXPECT_EQ(hist.hi(), 1100u);
+  EXPECT_TRUE(hist.cells().empty());
+  hist.push(100, 1);
+  hist.push(1099, 5);
   EXPECT_EQ(hist.total(), 6u);
-  EXPECT_EQ(hist.bin_weight(0), 1u);
-  EXPECT_EQ(hist.bin_weight(9), 5u);
+  EXPECT_EQ(hist.cells(), (std::vector<Cell>{{100, 1}, {1099, 5}}));
 }
 
-TEST(BinnedHistogramTest, BinOfIsConsistentWithBinBounds) {
-  BinnedHistogram hist(0, 1003, 7);  // non-divisible span
-  for (std::uint64_t pos = 0; pos < 1003; ++pos) {
-    const std::size_t bin = hist.bin_of(pos);
-    EXPECT_GE(pos, hist.bin_lo(bin));
-    EXPECT_LT(pos, hist.bin_hi(bin));
-  }
-}
-
-TEST(BinnedHistogramTest, LastBinAbsorbsRemainder) {
-  BinnedHistogram hist(0, 10, 3);
-  // width = 3; bins cover [0,3) [3,6) [6,10).
-  EXPECT_EQ(hist.bin_hi(2), 10u);
-  hist.add(9);
-  EXPECT_EQ(hist.bin_weight(2), 1u);
-}
-
-TEST(BinnedHistogramTest, MergeSumsElementwise) {
-  BinnedHistogram a(0, 100, 4), b(0, 100, 4);
-  a.add(10, 2);
-  b.add(10, 3);
-  b.add(90, 7);
+TEST(PositionHistogramTest, MergeSumsDisjointCells) {
+  PositionHistogram a(0, 100), b(0, 100);
+  a.push(10, 2);
+  a.push(50, 1);
+  b.push(5, 3);
+  b.push(90, 7);
   a.merge(b);
-  EXPECT_EQ(a.bin_weight(0), 5u);
-  EXPECT_EQ(a.bin_weight(3), 7u);
-  EXPECT_EQ(a.total(), 12u);
+  EXPECT_EQ(a.cells(),
+            (std::vector<Cell>{{5, 3}, {10, 2}, {50, 1}, {90, 7}}));
+  EXPECT_EQ(a.total(), 13u);
 }
 
-TEST(BinnedHistogramTest, MoreBinsThanPositionsClamps) {
-  BinnedHistogram hist(0, 5, 100);
-  EXPECT_EQ(hist.bin_count(), 5u);
+TEST(PositionHistogramTest, MergeSumsOverlappingCells) {
+  PositionHistogram a(0, 100), b(0, 100);
+  a.push(10, 2);
+  a.push(90, 1);
+  b.push(10, 3);
+  b.push(90, 7);
+  b.push(99, 4);
+  a.merge(b);
+  EXPECT_EQ(a.cells(), (std::vector<Cell>{{10, 5}, {90, 8}, {99, 4}}));
+  EXPECT_EQ(a.total(), 17u);
+  // Merging an empty histogram changes nothing.
+  a.merge(PositionHistogram(0, 100));
+  EXPECT_EQ(a.total(), 17u);
+  EXPECT_EQ(a.cells().size(), 3u);
 }
 
-TEST(BinnedHistogramDeathTest, MergeGeometryMismatchAborts) {
-  BinnedHistogram a(0, 100, 4), b(0, 100, 8);
-  EXPECT_DEATH(a.merge(b), "geometry");
+TEST(PositionHistogramDeathTest, OutOfOrderPushAborts) {
+  PositionHistogram hist(0, 100);
+  hist.push(10, 1);
+  EXPECT_DEATH(hist.push(10, 1), "out of order");
+  EXPECT_DEATH(hist.push(9, 1), "out of order");
 }
 
-// -------------------------------------------------- greedy partitioning
-
-TEST(GreedyPartitionTest, UniformWeightsSplitEvenly) {
-  std::vector<std::uint64_t> weights(100, 10);
-  const auto result = greedy_contiguous_partition(weights, 4);
-  ASSERT_EQ(result.part_weights.size(), 4u);
-  for (const auto w : result.part_weights) {
-    EXPECT_NEAR(static_cast<double>(w), 250.0, 10.0);
-  }
-}
-
-TEST(GreedyPartitionTest, CoversAllWeight) {
-  std::vector<std::uint64_t> weights = {5, 0, 100, 3, 3, 3, 50, 0, 1};
-  const auto result = greedy_contiguous_partition(weights, 3);
-  const std::uint64_t total =
-      std::accumulate(weights.begin(), weights.end(), std::uint64_t{0});
-  std::uint64_t assigned = 0;
-  for (const auto w : result.part_weights) assigned += w;
-  EXPECT_EQ(assigned, total);
-}
-
-TEST(GreedyPartitionTest, SinglePartTakesEverything) {
-  std::vector<std::uint64_t> weights = {1, 2, 3};
-  const auto result = greedy_contiguous_partition(weights, 1);
-  EXPECT_TRUE(result.cuts.empty());
-  EXPECT_EQ(result.part_weights[0], 6u);
-}
-
-TEST(GreedyPartitionTest, MorePartsThanWeights) {
-  std::vector<std::uint64_t> weights = {9, 9};
-  const auto result = greedy_contiguous_partition(weights, 5);
-  ASSERT_EQ(result.cuts.size(), 4u);
-  std::uint64_t assigned = 0;
-  for (const auto w : result.part_weights) assigned += w;
-  EXPECT_EQ(assigned, 18u);
-}
-
-TEST(GreedyPartitionTest, GreedyBoundHolds) {
-  // The heaviest part must not exceed ideal + max single weight.
-  SplitMix64 rng(5);
-  for (int trial = 0; trial < 50; ++trial) {
-    std::vector<std::uint64_t> weights(200);
-    std::uint64_t total = 0, biggest = 0;
-    for (auto& w : weights) {
-      w = rng.next_below(1000);
-      total += w;
-      biggest = std::max(biggest, w);
-    }
-    const std::size_t parts = 1 + rng.next_below(16);
-    const auto result = greedy_contiguous_partition(weights, parts);
-    const double ideal = static_cast<double>(total) / parts;
-    for (const auto w : result.part_weights) {
-      EXPECT_LE(static_cast<double>(w), ideal + biggest + 1);
-    }
-  }
-}
-
-TEST(GreedyPartitionTest, CutsAreMonotone) {
-  std::vector<std::uint64_t> weights = {100, 0, 0, 0, 0, 0, 0, 100};
-  const auto result = greedy_contiguous_partition(weights, 4);
-  for (std::size_t i = 1; i < result.cuts.size(); ++i) {
-    EXPECT_LE(result.cuts[i - 1], result.cuts[i]);
-  }
+TEST(PositionHistogramDeathTest, MergeRangeMismatchAborts) {
+  PositionHistogram a(0, 100), b(0, 101);
+  EXPECT_DEATH(a.merge(b), "range mismatch");
 }
 
 // -------------------------------------------------------------- RunningStats

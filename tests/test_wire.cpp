@@ -123,7 +123,7 @@ TEST(WireCrc32, KnownVector) {
 //
 // A deliberate format change bumps kWireVersion and re-records every pin in
 // this file in the same commit.
-static_assert(wire::kWireVersion == 7, "wire format changed: re-record pins");
+static_assert(wire::kWireVersion == 8, "wire format changed: re-record pins");
 
 struct Pin {
   std::size_t size;
@@ -145,11 +145,11 @@ struct Pin {
 
 PartitionMap sample_map() { return PartitionMap::initial({5, 7, 9}); }
 
-BinnedHistogram sample_histogram() {
-  BinnedHistogram h(64, 4096, 8);
-  h.add(65, 3);
-  h.add(1000, 7);
-  h.add(4095, 11);
+PositionHistogram sample_histogram() {
+  PositionHistogram h(64, 4096);
+  h.push(65, 3);
+  h.push(1000, 7);
+  h.push(4095, 11);
   return h;
 }
 
@@ -233,7 +233,7 @@ std::vector<Message> message_catalogue() {
   add(make_signal(Tag::kBuildComplete), 0);
   add(make_message(Tag::kStartProbe, StartProbePayload{sample_map(), 4}, 128),
       0);
-  add(make_message(Tag::kHistogramRequest, HistogramRequestPayload{1, 64, 2},
+  add(make_message(Tag::kHistogramRequest, HistogramRequestPayload{1, 2},
                    48),
       0);
   add(make_message(Tag::kHistogramReply,
@@ -360,8 +360,8 @@ constexpr Pin kMessagePins[] = {
     {14, 0xefe2188},  // kDrainAck
     {3, 0xaa86b010},  // kBuildComplete
     {31, 0x448e9ecc},  // kStartProbe
-    {6, 0x52d215eb},  // kHistogramRequest
-    {17, 0xaf53f19},  // kHistogramReply
+    {5, 0x2d4f8d2b},  // kHistogramRequest
+    {17, 0x59e9a4de},  // kHistogramReply
     {15, 0x3dde5860},  // kReshuffleMove
     {4, 0x84fa6dfd},  // kReshuffleDone
     {3, 0x96468a42},  // kReportRequest
@@ -555,6 +555,38 @@ TEST(WireMessages, PartitionMapInvariantsEnforcedOnDecode) {
   }
 }
 
+TEST(WireMessages, PositionHistogramInvariantsEnforcedOnDecode) {
+  // Each body is lo, hi, n, then n (gap, count) pairs.  What push() would
+  // abort on must be a decode error instead.
+  const auto body = [](std::initializer_list<std::uint64_t> varints) {
+    Writer w;
+    for (std::uint64_t v : varints) w.varint(v);
+    return w.take();
+  };
+  const auto decodes = [](const std::vector<std::uint8_t>& bytes) {
+    PositionHistogram h;
+    return wire::decode_body(bytes, h);
+  };
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  // Well-formed: a default histogram, and a sum of exactly 2^64 - 1.
+  EXPECT_TRUE(decodes(body({0, 0, 0})));
+  EXPECT_TRUE(decodes(body({0, 10, 2, 0, kMax - 1, 8, 1})));
+  // A cell at or past hi, including a gap that would wrap around.
+  EXPECT_FALSE(decodes(body({10, 20, 1, 10, 1})));
+  EXPECT_FALSE(decodes(body({10, 20, 2, 0, 1, 9, 1})));
+  EXPECT_FALSE(decodes(body({10, 20, 1, kMax, 1})));
+  // A zero count.
+  EXPECT_FALSE(decodes(body({0, 10, 2, 0, 1, 0, 0})));
+  // More cells than positions.
+  EXPECT_FALSE(decodes(body({0, 2, 3, 0, 1, 0, 1, 0, 1})));
+  // Counts summing past 2^64 - 1.
+  EXPECT_FALSE(decodes(body({0, 10, 2, 0, kMax, 0, 1})));
+  // hi <= lo, with or without cells.
+  EXPECT_FALSE(decodes(body({10, 10, 1, 0, 1})));
+  EXPECT_FALSE(decodes(body({10, 5, 1, 0, 1})));
+  EXPECT_FALSE(decodes(body({10, 5, 0})));
+}
+
 TEST(WireMessages, UnknownTagRejected) {
   Writer w;
   w.zigzag(9999);  // no such tag
@@ -583,7 +615,6 @@ EhjaConfig sample_config() {
   c.chunk_tuples = 500;
   c.generation_slice_tuples = 250;
   c.node_hash_memory_bytes = 4 * kMiB;
-  c.reshuffle_bins = 32;
   c.split_variant = SplitVariant::kLinearPointer;
   c.link.fault_jitter_sec = 0.25;
   c.link.fault_drop_prob = 0.125;
@@ -620,8 +651,8 @@ std::vector<std::uint8_t> config_bytes(const EhjaConfig& config) {
   return w.take();
 }
 
-constexpr Pin kSampleConfigPin = {155293, 0xc5028f6e};
-constexpr Pin kDefaultConfigPin = {289, 0x4a4427dd};
+constexpr Pin kSampleConfigPin = {155292, 0x10f6401};
+constexpr Pin kDefaultConfigPin = {286, 0x3f8acfc0};
 
 TEST(WireConfig, RoundTripReencodesIdentically) {
   const EhjaConfig original = sample_config();
@@ -763,7 +794,7 @@ std::vector<BodyCase> serve_catalogue() {
                            {11, 0x3298c3c7}));
   all.push_back(body_case("SubmitQuery",
                            SubmitQueryPayload{42, submitted_config()},
-                           {285, 0xb9e75156}));
+                           {282, 0x259912af}));
   all.push_back(body_case("QueryAccepted", QueryAcceptedPayload{42, 7, 3},
                            {3, 0x1cd3dd59}));
   all.push_back(body_case(
@@ -817,7 +848,7 @@ std::vector<BodyCase> control_catalogue() {
   all.push_back(body_case("Retire", ActorId{17}, {1, 0x0762ae69}));
   all.push_back(body_case("NodeDead", NodeId{2}, {1, 0xd56f2b94}));
   all.push_back(body_case("QueryConfig", wire::QueryConfigFrame{4, config},
-                          {290, 0x6f9562d2}));
+                          {287, 0x892e1404}));
   return all;
 }
 
