@@ -50,7 +50,6 @@ std::optional<std::string> EhjaConfig::validate_or_error() const {
   if (data_sources < 1) return "data sources must be >= 1";
   if (chunk_tuples < 1) return "transport chunk must hold >= 1 tuple";
   if (generation_slice_tuples < 1) return "generation slice must be >= 1";
-  if (source_progress_slices < 1) return "source progress cadence must be >= 1";
   if (build_rel.tuple_count < 1) return "build relation must hold >= 1 tuple";
   if (build_rel.schema.tuple_bytes < 16 || probe_rel.schema.tuple_bytes < 16) {
     return "tuples must be >= 16 bytes (id + key header)";

@@ -158,12 +158,6 @@ struct EhjaConfig {
 
   std::uint64_t seed = 20040607;  // HPDC'04 conference date
 
-  /// How often a data source reports build-generation progress to the
-  /// scheduler, in generation slices (kAdaptive only: the reports feed the
-  /// observed-rate side of the cost comparison; the paper's algorithms run
-  /// without them, and emitting them would perturb their event timing).
-  std::uint32_t source_progress_slices = 8;
-
   /// Sub-partitions per node for out-of-core spilling.
   std::size_t spill_fanout = 16;
 

@@ -163,8 +163,9 @@ void DataSourceActor::generate_slice() {
   // The adaptive policy's observed-rate input.  Only kAdaptive pays for
   // these reports: under the paper's algorithms the extra control messages
   // would perturb event timing without anyone reading them.
+  constexpr std::uint32_t kProgressSlices = 8;
   if (config_->algorithm == Algorithm::kAdaptive && phase_ == Phase::kBuild &&
-      ++slices_since_report_ >= config_->source_progress_slices) {
+      ++slices_since_report_ >= kProgressSlices) {
     slices_since_report_ = 0;
     SourceProgressPayload progress;
     progress.rel = rel;

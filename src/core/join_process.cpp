@@ -30,9 +30,7 @@ std::uint64_t JoinProcessActor::budget() const {
 }
 
 std::uint64_t JoinProcessActor::build_tuples_held() const {
-  std::uint64_t held = table_ ? table_->tuple_count() : 0;
-  if (spiller_) held += spiller_->build_tuples();
-  return held;
+  return store_ ? store_->build_tuples() : 0;
 }
 
 void JoinProcessActor::on_message(const Message& msg) {
@@ -83,7 +81,10 @@ void JoinProcessActor::on_message(const Message& msg) {
       break;
     case Tag::kSwitchToSpill:
       charge(config_->cost.control_handle_sec);
-      enter_spill_mode();
+      EHJA_CHECK(store_.has_value());
+      charge(store_->spill(SpillPolicy::kEvictLargest));
+      memory_request_pending_ = false;
+      EHJA_INFO(name(), "pool exhausted: switched to out-of-core spilling");
       break;
     case Tag::kDrainProbe: {
       charge(config_->cost.control_handle_sec);
@@ -128,21 +129,17 @@ void JoinProcessActor::on_message(const Message& msg) {
 }
 
 void JoinProcessActor::handle_init(const JoinInitPayload& init) {
-  EHJA_CHECK_MSG(!table_ && !spiller_, "double init");
-  role_ = init.role;
-  range_ = init.range;
+  EHJA_CHECK_MSG(!store_, "double init");
+  store_.emplace(config_->build_rel.schema, init.range, config_->intra_threads,
+                 budget(), config_->spill_fanout, disk_, config_->cost,
+                 static_cast<std::uint64_t>(id()) + 1);
   if (config_->algorithm == Algorithm::kOutOfCore) {
     // The baseline never expands: on overflow it runs the basic GRACE
     // out-of-core join of ss2 (everything through the disk).
-    spiller_.emplace(config_->build_rel.schema, range_, budget(),
-                     config_->spill_fanout, disk_, config_->cost,
-                     static_cast<std::uint64_t>(id()) + 1,
-                     SpillPolicy::kEvictAll);
-  } else {
-    table_.emplace(config_->build_rel.schema, range_, config_->intra_threads);
+    charge(store_->spill(SpillPolicy::kEvictAll));
   }
   EHJA_DEBUG(name(), "init role=", static_cast<int>(init.role), " range=[",
-             range_.lo, ",", range_.hi, ")");
+             init.range.lo, ",", init.range.hi, ")");
   // Replay anything that raced ahead of the init message.
   std::vector<std::pair<ActorId, ChunkPayload>> stashed;
   stashed.swap(pre_init_chunks_);
@@ -152,8 +149,8 @@ void JoinProcessActor::handle_init(const JoinInitPayload& init) {
 }
 
 void JoinProcessActor::note_overshoot() {
-  if (!table_) return;
-  const std::uint64_t footprint = table_->footprint_bytes();
+  if (!store_ || store_->enforcing()) return;
+  const std::uint64_t footprint = store_->memory_footprint();
   if (footprint > budget()) {
     max_overshoot_bytes_ =
         std::max(max_overshoot_bytes_, footprint - budget());
@@ -162,10 +159,10 @@ void JoinProcessActor::note_overshoot() {
 
 void JoinProcessActor::after_insert_overflow_check() {
   note_overshoot();
-  if (!table_ || table_->footprint_bytes() <= budget()) return;
+  if (store_->enforcing() || store_->memory_footprint() <= budget()) return;
   if (memory_request_pending_ || frozen_ || !expansion_enabled_) return;
   MemoryFullPayload full;
-  full.footprint_bytes = table_->footprint_bytes();
+  full.footprint_bytes = store_->memory_footprint();
   full.budget_bytes = budget();
   memory_request_pending_ = true;
   send(scheduler_, make_message(Tag::kMemoryFull, full, kControlWireBytes));
@@ -192,7 +189,7 @@ void JoinProcessActor::handle_chunk(ActorId from, const ChunkPayload& payload) {
     rt().kill_node(node());
     return;
   }
-  if (!table_ && !spiller_) {
+  if (!store_) {
     // Raced ahead of kJoinInit (thread runtime); counted when replayed.
     pre_init_chunks_.emplace_back(from, payload);
     return;
@@ -253,7 +250,7 @@ void JoinProcessActor::handle_build_chunk(const Chunk& chunk,
   // tuples given away in splits (stale-source routing) ship hop-by-hop.
   // The common case -- every position owned -- inserts the incoming batch
   // wholesale without copying a row.
-  const PosRange owned = spiller_ ? spiller_->range() : table_->range();
+  const PosRange owned = store_->range();
   std::size_t owned_rows = 0;
   for (std::size_t i = 0; i < chunk.size(); ++i) {
     if (owned.contains(chunk.batch.position(i))) ++owned_rows;
@@ -286,42 +283,18 @@ void JoinProcessActor::handle_build_chunk(const Chunk& chunk,
     mine = &mine_rows;
   }
 
-  if (spiller_) {
-    double seconds = 0.0;
-    for (std::size_t i = 0; i < mine->size(); ++i) {
-      seconds += spiller_->add_build(mine->tuple(i));
-    }
-    charge(seconds);
-    return;
-  }
-  charge(static_cast<double>(mine->size()) * config_->cost.tuple_insert_sec);
-  table_->insert_batch(*mine);
+  charge(store_->build(*mine));
   after_insert_overflow_check();
   // Periodic memory sample for the trace (chunks 1, 5, 9, ...).
   if (config_->trace != nullptr && (chunks_received_ & 3u) == 1) {
     config_->trace->emit(now(), TraceKind::kMemSample, id(),
-                         static_cast<std::int64_t>(table_->footprint_bytes()));
+                         static_cast<std::int64_t>(store_->memory_footprint()));
   }
 }
 
 void JoinProcessActor::handle_probe_chunk(const Chunk& chunk) {
   probe_tuples_ += chunk.size();
-  if (spiller_) {
-    double seconds = 0.0;
-    for (std::size_t i = 0; i < chunk.size(); ++i) {
-      seconds +=
-          spiller_->add_probe(chunk.batch.tuple(i), result_, capture_sink());
-    }
-    charge(seconds);
-    return;
-  }
-  const auto agg = table_->probe_batch(chunk.batch, capture_sink());
-  result_.matches += agg.matches;
-  result_.checksum += agg.checksum_delta;
-  charge(static_cast<double>(agg.probed) * config_->cost.tuple_probe_sec +
-         static_cast<double>(agg.comparisons) *
-             config_->cost.tuple_compare_sec +
-         static_cast<double>(agg.matches) * config_->cost.match_emit_sec);
+  charge(store_->probe(chunk.batch, result_, capture_sink()));
 }
 
 void JoinProcessActor::handle_split_request(const SplitRequestPayload& req) {
@@ -329,12 +302,11 @@ void JoinProcessActor::handle_split_request(const SplitRequestPayload& req) {
   EHJA_CHECK_MSG(config_->algorithm == Algorithm::kSplit ||
                      config_->algorithm == Algorithm::kAdaptive,
                  "split request outside a splitting algorithm");
-  EHJA_CHECK_MSG(!spiller_, "split request after switching to spill mode");
-  EHJA_CHECK(req.moved.lo > range_.lo && req.moved.hi == range_.hi);
+  const PosRange range = store_->range();
+  EHJA_CHECK(req.moved.lo > range.lo && req.moved.hi == range.hi);
 
-  std::vector<Tuple> moved = table_->extract_range(req.moved);
-  range_ = PosRange{range_.lo, req.moved.lo};
-  table_->set_range(range_);
+  std::vector<Tuple> moved = store_->table().extract_range(req.moved);
+  store_->table().set_range(PosRange{range.lo, req.moved.lo});
   forward_table_.emplace_back(req.moved, req.target);
 
   chunks_forwarded_ += ship(req.target, std::move(moved),
@@ -344,7 +316,7 @@ void JoinProcessActor::handle_split_request(const SplitRequestPayload& req) {
   end.op_id = req.op_id;
   send(req.target, make_message(Tag::kForwardEnd, end, kControlWireBytes));
   note_overshoot();
-  EHJA_DEBUG(name(), "split: kept [", range_.lo, ",", range_.hi, ")");
+  EHJA_DEBUG(name(), "split: kept [", range.lo, ",", req.moved.lo, ")");
 }
 
 void JoinProcessActor::handle_handoff(const HandoffStartPayload& handoff) {
@@ -362,7 +334,7 @@ void JoinProcessActor::handle_handoff(const HandoffStartPayload& handoff) {
 
 void JoinProcessActor::handle_histogram_request(
     const HistogramRequestPayload& req) {
-  EHJA_CHECK(table_.has_value());
+  EHJA_CHECK(store_ && !store_->enforcing());
   // Reshuffle begins: the build phase is fully drained, so a frozen replica
   // can resume accepting tuples (they now come from its own set); the
   // redistribution itself must not trigger further expansion.
@@ -370,19 +342,19 @@ void JoinProcessActor::handle_histogram_request(
   expansion_enabled_ = false;
   // The scan still walks every chain of the range; the reply carries only
   // the occupied positions, charged at the bytes their codec writes.
-  charge(static_cast<double>(table_->range().width()) * 2e-9 +
+  charge(static_cast<double>(store_->range().width()) * 2e-9 +
          config_->cost.control_handle_sec);
   HistogramReplyPayload reply;
   reply.set_id = req.set_id;
   reply.round = req.round;
-  reply.histogram = table_->histogram();
+  reply.histogram = store_->table().histogram();
   const std::size_t wire = kControlWireBytes + reply.histogram.wire_bytes();
   send(scheduler_, make_message(Tag::kHistogramReply, std::move(reply), wire));
 }
 
 void JoinProcessActor::handle_reshuffle(const ReshuffleMovePayload& move) {
   charge(config_->cost.control_handle_sec);
-  EHJA_CHECK(table_.has_value());
+  EHJA_CHECK(store_ && !store_->enforcing());
   PosRange mine{0, 0};
   for (const auto& entry : move.plan) {
     EHJA_CHECK(entry.owners.size() == 1);
@@ -390,7 +362,7 @@ void JoinProcessActor::handle_reshuffle(const ReshuffleMovePayload& move) {
       mine = entry.range;
       continue;
     }
-    std::vector<Tuple> out = table_->extract_range(entry.range);
+    std::vector<Tuple> out = store_->table().extract_range(entry.range);
     if (!out.empty()) {
       chunks_forwarded_ += ship(entry.owners.front(), std::move(out),
                                 config_->build_rel.tag,
@@ -398,30 +370,12 @@ void JoinProcessActor::handle_reshuffle(const ReshuffleMovePayload& move) {
     }
   }
   EHJA_CHECK_MSG(!mine.empty(), "reshuffle plan omits this member");
-  table_->set_range(mine);
-  range_ = mine;
+  store_->table().set_range(mine);
   ReshuffleDonePayload done;
   done.round = move.round;
   send(scheduler_,
        make_message(Tag::kReshuffleDone, done, kControlWireBytes));
   note_overshoot();
-}
-
-void JoinProcessActor::enter_spill_mode() {
-  EHJA_CHECK_MSG(!spiller_, "already spilling");
-  EHJA_CHECK(table_.has_value());
-  spiller_.emplace(config_->build_rel.schema, range_, budget(),
-                   config_->spill_fanout, disk_, config_->cost,
-                   static_cast<std::uint64_t>(id()) + 1);
-  // Re-home the current table contents through the spiller (evictions are
-  // charged as real disk writes).
-  std::vector<Tuple> all = table_->extract_range(range_);
-  double seconds = 0.0;
-  for (const Tuple& t : all) seconds += spiller_->add_build(t);
-  charge(seconds);
-  table_.reset();
-  memory_request_pending_ = false;
-  EHJA_INFO(name(), "pool exhausted: switched to out-of-core spilling");
 }
 
 std::uint64_t JoinProcessActor::ship(ActorId target, std::vector<Tuple> tuples,
@@ -485,7 +439,6 @@ void JoinProcessActor::handle_range_reset(const RangeResetPayload& reset) {
     return;
   }
   epoch_ = std::max(epoch_, reset.epoch);
-  std::uint64_t dropped = 0;
   if (reset.zero_probe_results) {
     // Probe-phase recovery recomputes the entry from scratch: matches
     // against the partial pre-crash table cannot be separated from the
@@ -495,72 +448,23 @@ void JoinProcessActor::handle_range_reset(const RangeResetPayload& reset) {
     captured_.clear();
     probe_tuples_ = 0;
   }
-  if (table_) {
-    for (const PosRange& r : reset.discard) {
-      const std::uint64_t lo = std::max(r.lo, table_->range().lo);
-      const std::uint64_t hi = std::min(r.hi, table_->range().hi);
-      if (lo >= hi) continue;
-      dropped += table_->extract_range(PosRange{lo, hi}).size();
-    }
-    charge(static_cast<double>(dropped) * config_->cost.tuple_insert_sec);
-    if (reset.new_range.has_value()) {
-      range_ = *reset.new_range;
-      table_->set_range(range_);
-    }
-  } else if (spiller_) {
-    charge(rebuild_spiller(reset, dropped));
+  const std::uint64_t held = build_tuples_held();
+  if (store_) {
+    charge(store_->reset(reset.discard, reset.new_range, result_,
+                         capture_sink()));
   }
   retired_ = retired_ || reset.retired;
   frozen_ = false;
   handoff_target_ = kInvalidActor;
   memory_request_pending_ = false;
   note_overshoot();
-  EHJA_INFO(name(), "range reset epoch ", reset.epoch, ": dropped ", dropped,
-            " build tuples", retired_ ? " (retired)" : "");
+  EHJA_INFO(name(), "range reset epoch ", reset.epoch, ": dropped ",
+            held - build_tuples_held(), " build tuples",
+            retired_ ? " (retired)" : "");
   RangeResetAckPayload ack;
   ack.epoch = reset.epoch;
   send(scheduler_,
        make_message(Tag::kRangeResetAck, ack, kControlWireBytes));
-}
-
-double JoinProcessActor::rebuild_spiller(const RangeResetPayload& reset,
-                                         std::uint64_t& dropped) {
-  std::vector<Tuple> build_keep;
-  std::vector<Tuple> probe_keep;
-  double seconds = spiller_->extract_all(build_keep, probe_keep);
-  const auto in_discard = [&reset](const Tuple& t) {
-    const std::uint64_t pos = position_of(t.key);
-    for (const PosRange& r : reset.discard) {
-      if (r.contains(pos)) return true;
-    }
-    return false;
-  };
-  const auto drop = [&](std::vector<Tuple>& tuples) {
-    const auto keep_end =
-        std::remove_if(tuples.begin(), tuples.end(), in_discard);
-    dropped += static_cast<std::uint64_t>(tuples.end() - keep_end);
-    tuples.erase(keep_end, tuples.end());
-  };
-  drop(build_keep);
-  drop(probe_keep);
-  if (reset.new_range.has_value()) range_ = *reset.new_range;
-  // Rebuild under a fresh spill-file namespace; the survivors re-run the
-  // dynamic hybrid-hash discipline (deferred probes of still-spilled
-  // partitions re-join at finish() exactly once, as before the reset).
-  ++spiller_generation_;
-  const std::uint64_t ns =
-      (static_cast<std::uint64_t>(id()) + 1) +
-      (static_cast<std::uint64_t>(spiller_generation_) << 20);
-  const SpillPolicy policy = config_->algorithm == Algorithm::kOutOfCore
-                                 ? SpillPolicy::kEvictAll
-                                 : SpillPolicy::kEvictLargest;
-  spiller_.emplace(config_->build_rel.schema, range_, budget(),
-                   config_->spill_fanout, disk_, config_->cost, ns, policy);
-  for (const Tuple& t : build_keep) seconds += spiller_->add_build(t);
-  for (const Tuple& t : probe_keep) {
-    seconds += spiller_->add_probe(t, result_, capture_sink());
-  }
-  return seconds;
 }
 
 void JoinProcessActor::handle_scheduler_handoff(const Message& msg) {
@@ -593,10 +497,9 @@ void JoinProcessActor::handle_report_request() {
     return;
   }
   reported_ = true;
-  if (spiller_) {
-    // Phase 3 of the out-of-core path: join the spilled partition pairs.
-    charge(spiller_->finish(result_, capture_sink()));
-  }
+  EHJA_CHECK(store_.has_value());
+  // Phase 3 of the out-of-core path: join the spilled partition pairs.
+  charge(store_->finish(result_, capture_sink()));
   send_result_rows();
   NodeReportPayload report;
   report.metrics.actor = id();
@@ -608,11 +511,9 @@ void JoinProcessActor::handle_report_request() {
   report.metrics.chunks_forwarded = chunks_forwarded_;
   report.metrics.max_overshoot_bytes = max_overshoot_bytes_;
   report.metrics.fence_dropped_tuples = fence_dropped_tuples_;
-  if (spiller_) {
-    report.metrics.spilled_build_tuples = spiller_->spilled_build_tuples();
-    report.metrics.spilled_probe_tuples = spiller_->spilled_probe_tuples();
-    report.metrics.spilled_partitions = spiller_->spilled_partitions();
-  }
+  report.metrics.spilled_build_tuples = store_->spilled_build_tuples();
+  report.metrics.spilled_probe_tuples = store_->spilled_probe_tuples();
+  report.metrics.spilled_partitions = store_->spilled_partitions();
   report.checksum = result_.checksum;
   report.result_rows = captured_.size();
   last_report_ = report;

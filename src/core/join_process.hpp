@@ -20,9 +20,9 @@
 //               the reshuffle begins (kHistogramRequest) and then exchange
 //               sub-ranges per the scheduler's plan.
 //
-//   out-of-core: never expands; owns a HybridHashSpiller from the start and
-//               degrades to local disk.  Any EHJA node also switches to the
-//               spiller when the scheduler reports the pool exhausted.
+//   out-of-core: never expands; its store (join/grace_join.hpp) spills to
+//               local disk from init.  Any EHJA node's store starts
+//               spilling when the scheduler reports the pool exhausted.
 //
 // Under recovery-enabled runs (EhjaConfig::recovery_enabled) the actor
 // additionally answers heartbeat pings, keeps per-peer chunk counters for
@@ -41,7 +41,6 @@
 
 #include "core/config.hpp"
 #include "core/messages.hpp"
-#include "core/node_table.hpp"
 #include "join/grace_join.hpp"
 #include "runtime/actor.hpp"
 #include "storage/sim_disk.hpp"
@@ -62,9 +61,9 @@ class JoinProcessActor final : public Actor {
   // --- post-run observability (driver/tests) ---
   const JoinResult& result() const { return result_; }
   std::uint64_t build_tuples_held() const;
-  bool in_spill_mode() const { return spiller_.has_value(); }
+  bool in_spill_mode() const { return store_ && store_->enforcing(); }
   bool frozen() const { return frozen_; }
-  const PosRange& range() const { return range_; }
+  const PosRange& range() const { return store_->range(); }
 
  private:
   void handle_init(const JoinInitPayload& init);
@@ -83,14 +82,9 @@ class JoinProcessActor final : public Actor {
   void handle_scheduler_handoff(const Message& msg);
   void handle_fence(const RecoveryFencePayload& fence);
   void handle_range_reset(const RangeResetPayload& reset);
-  /// Discard `reset.discard` from the spiller (and regrow its range) by
-  /// draining the survivors into a fresh spiller; returns seconds consumed.
-  double rebuild_spiller(const RangeResetPayload& reset,
-                         std::uint64_t& dropped);
   /// Whether a tuple at `pos` from a chunk stamped `chunk_epoch` falls
   /// behind an epoch fence (its range is being replayed; drop it).
   bool fence_drops(std::uint64_t chunk_epoch, std::uint64_t pos) const;
-  void enter_spill_mode();
   void after_insert_overflow_check();
   /// Ship `tuples` to `target` as chunks stamped `epoch`; returns chunks
   /// sent.  Forwards of an incoming chunk preserve its epoch; shipments out
@@ -108,12 +102,8 @@ class JoinProcessActor final : public Actor {
   ActorId scheduler_;
   SimDisk disk_;
 
-  JoinRole role_ = JoinRole::kInitial;
-  PosRange range_;
-  /// Partition table; its lanes fan out large batches when
-  /// intra_threads > 1 (core/node_table.hpp).
-  std::optional<NodeTable> table_;
-  std::optional<HybridHashSpiller> spiller_;
+  /// The node's rows, resident or spilling; empty only before kJoinInit.
+  std::optional<HybridHashSpiller> store_;
 
   bool frozen_ = false;
   /// Cleared when the reshuffle begins: redistribution may overshoot the
@@ -129,7 +119,7 @@ class JoinProcessActor final : public Actor {
   bool memory_request_pending_ = false;
   bool reported_ = false;
   /// The report as first computed; a promoted scheduler's duplicate
-  /// kReportRequest gets this verbatim (the spiller finish pass is not
+  /// kReportRequest gets this verbatim (the store's finish pass is not
   /// idempotent, so it must run exactly once).
   NodeReportPayload last_report_;
   /// Generation of the scheduler currently obeyed (0 = the original).
@@ -149,8 +139,6 @@ class JoinProcessActor final : public Actor {
   /// drain balance (maintained only when recovery is enabled).
   std::map<ActorId, std::uint64_t> received_from_;
   std::map<ActorId, std::uint64_t> forwarded_to_;
-  /// Bumped per spiller rebuild so rebuilt spill files get fresh stream ids.
-  std::uint32_t spiller_generation_ = 0;
 
   // counters
   std::uint64_t chunks_received_ = 0;
@@ -162,7 +150,7 @@ class JoinProcessActor final : public Actor {
   /// Output pairs captured alongside result_ (capture_output runs only):
   /// every checksum contribution appends exactly one row here, so the
   /// multiset always equals the counted result -- across spill-mode
-  /// transitions, spiller rebuilds and probe-phase range resets.
+  /// transitions, store rebuilds and probe-phase range resets.
   std::vector<Tuple> captured_;
   /// &captured_ when the run asked for output capture, else nullptr.
   std::vector<Tuple>* capture_sink() {

@@ -36,7 +36,7 @@ struct NodeMetrics {
 };
 
 struct RunMetrics {
-  // --- phase timeline (virtual seconds; zero-length on ThreadRuntime) ---
+  // --- timeline: virtual s on sim, wall s since start on thread/socket ---
   SimTime t_start = 0.0;
   SimTime t_build_end = 0.0;      // build phase complete at the scheduler
   SimTime t_reshuffle_end = 0.0;  // == t_build_end unless hybrid expanded

@@ -1,5 +1,6 @@
-// NodeTable: the join process's partition table with optional intra-node
-// parallelism.
+// NodeTable: a join node's partition table with optional intra-node
+// parallelism, owned by the node's store (join/grace_join.hpp) resident or
+// spilling.
 //
 // One LocalHashTable at every thread count.  With intra_threads == 1 every
 // call goes straight to it -- the historical single-threaded path, byte for
@@ -10,8 +11,8 @@
 //     rows of one contiguous position sub-range, commit().  Lanes write
 //     disjoint chains and slab entries, and per position the rows are
 //     linked in batch order, so the table equals the serial one bit for
-//     bit -- extract_range, migration and reshuffle see the same order at
-//     every thread count;
+//     bit -- extract_range, migration, reshuffle and spill eviction see the
+//     same order at every thread count;
 //   * probe: ensure_index(), then each lane probes one row slice.  The
 //     per-lane results are summed and the per-lane captured rows
 //     concatenated in lane order, so the aggregate equals the serial result
@@ -24,8 +25,8 @@
 // pool for a few hundred rows costs more than the rows do, and the tail
 // chunks of a drain are exactly that shape.
 //
-// Lives in core/ (not hash/) because it composes hash/ with runtime/ --
-// ehja_hash must stay linkable without the runtime layer.
+// Header only, in core/ (not hash/) because it composes hash/ with runtime/
+// -- ehja_hash must stay linkable without the runtime layer.
 #pragma once
 
 #include <cstdint>
@@ -112,6 +113,8 @@ class NodeTable {
     return table_.extract_range(sub);
   }
   void set_range(const PosRange& next) { table_.set_range(next); }
+  /// Drop every row and start empty over `r`, freeing the slab.
+  void reset(PosRange r) { table_ = LocalHashTable(table_.schema(), r); }
   PositionHistogram histogram() const { return table_.histogram(); }
 
  private:

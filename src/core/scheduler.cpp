@@ -1047,7 +1047,6 @@ void SchedulerActor::handle_result_chunk(ActorId from,
   // flag restarts accumulation so the duplicate stream replaces (never
   // doubles) the original.
   if (payload.first) rows.clear();
-  rows.reserve(rows.size() + payload.chunk.size());
   for (std::size_t i = 0; i < payload.chunk.size(); ++i) {
     rows.push_back(payload.chunk.batch.tuple(i));
   }

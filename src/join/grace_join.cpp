@@ -17,33 +17,58 @@ std::uint64_t part_boundary(const PosRange& range, std::size_t k,
 }  // namespace
 
 HybridHashSpiller::HybridHashSpiller(Schema schema, PosRange range,
+                                     std::uint32_t intra_threads,
+                                     std::uint64_t memory_budget_bytes,
+                                     std::size_t fanout, SimDisk& disk,
+                                     const CostModel& cost,
+                                     std::uint64_t stream_namespace)
+    : schema_(schema),
+      budget_(memory_budget_bytes),
+      fanout_(fanout),
+      cost_(&cost),
+      disk_(&disk),
+      stream_namespace_(stream_namespace),
+      table_(schema, range, intra_threads) {
+  EHJA_CHECK(fanout >= 1);
+}
+
+HybridHashSpiller::HybridHashSpiller(Schema schema, PosRange range,
                                      std::uint64_t memory_budget_bytes,
                                      std::size_t fanout, SimDisk& disk,
                                      const CostModel& cost,
                                      std::uint64_t stream_namespace,
                                      SpillPolicy policy)
-    : schema_(schema),
-      budget_(memory_budget_bytes),
-      policy_(policy),
-      cost_(&cost),
-      disk_(&disk),
-      table_(schema, range) {
-  EHJA_CHECK(fanout >= 1);
-  EHJA_CHECK_MSG(budget_ >= tuple_footprint(schema),
-                 "budget below a single tuple's footprint");
-  const std::size_t parts =
-      static_cast<std::size_t>(std::min<std::uint64_t>(fanout, range.width()));
-  partitions_.reserve(parts);
+    : HybridHashSpiller(schema, range, 1, memory_budget_bytes, fanout, disk,
+                        cost, stream_namespace) {
+  spill(policy);
+}
+
+void HybridHashSpiller::cut() {
+  const PosRange& range = table_.range();
+  const std::size_t parts = static_cast<std::size_t>(
+      std::min<std::uint64_t>(fanout_, range.width()));
+  partitions_.clear();
   for (std::size_t k = 0; k < parts; ++k) {
-    Partition part;
-    part.range = PosRange{part_boundary(range, k, parts),
-                          part_boundary(range, k + 1, parts)};
     // Two streams (R, S) per sub-partition, distinct at any fanout.
-    const std::uint64_t base = (stream_namespace * parts + k) * 2;
-    part.r_file = std::make_unique<SpillFile>(disk, base);
-    part.s_file = std::make_unique<SpillFile>(disk, base + 1);
-    partitions_.push_back(std::move(part));
+    const std::uint64_t base = (stream_namespace_ * parts + k) * 2;
+    const PosRange sub{part_boundary(range, k, parts),
+                       part_boundary(range, k + 1, parts)};
+    partitions_.push_back(Partition{sub, SpillFile(*disk_, base),
+                                    SpillFile(*disk_, base + 1)});
   }
+}
+
+double HybridHashSpiller::spill(SpillPolicy policy) {
+  EHJA_CHECK_MSG(!enforcing(), "already spilling");
+  EHJA_CHECK_MSG(budget_ >= tuple_footprint(schema_),
+                 "budget below a single tuple's footprint");
+  policy_ = policy;
+  cut();
+  if (table_.tuple_count() == 0) return 0.0;
+  // Re-home the rows held so far; evictions are charged as disk writes.
+  const auto rows = TupleBatch::from_tuples(table_.extract_range(range()));
+  table_.reset(range());
+  return build(rows);
 }
 
 std::size_t HybridHashSpiller::partition_of(std::uint64_t pos) const {
@@ -58,46 +83,62 @@ std::size_t HybridHashSpiller::partition_of(std::uint64_t pos) const {
   return k;
 }
 
-double HybridHashSpiller::add_build(const Tuple& t) {
-  EHJA_CHECK(!finished_);
-  ++build_tuples_;
-  const std::uint64_t pos = position_of(t.key);
-  Partition& part = partitions_[partition_of(pos)];
-  if (part.spilled) {
-    part.r_tuples.push_back(t);
-    part.r_file->note_records(1);
-    return cost_->tuple_pack_sec + part.r_file->append(schema_.tuple_bytes);
+double HybridHashSpiller::build(const TupleBatch& batch) {
+  if (!enforcing()) {
+    table_.insert_batch(batch);
+    return static_cast<double>(batch.size()) * cost_->tuple_insert_sec;
   }
-  table_.insert(t);
-  ++part.mem_tuples;
-  double seconds = cost_->tuple_insert_sec;
-  if (table_.footprint_bytes() > budget_ &&
-      policy_ == SpillPolicy::kEvictAll) {
+  EHJA_CHECK(!finished_);
+  const std::uint64_t row_bytes = tuple_footprint(schema_);
+  double seconds = 0.0;
+  std::size_t i = 0;
+  while (i < batch.size()) {
+    // In-memory rows the table takes before its footprint passes the
+    // budget; the next one is the cut.
+    const std::uint64_t footprint = table_.footprint_bytes();
+    const std::uint64_t room =
+        footprint < budget_ ? (budget_ - footprint) / row_bytes : 0;
+    resident_.clear();
+    bool over = false;
+    for (; i < batch.size() && !over; ++i) {
+      Partition& part = partitions_[partition_of(batch.position(i))];
+      if (part.spilled) {
+        seconds += spill_row(part.r_tuples, part.r_file, batch.tuple(i));
+        continue;
+      }
+      resident_.append_row(batch, i);
+      ++part.mem_tuples;
+      over = resident_.size() > room;
+      if (!over) seconds += cost_->tuple_insert_sec;
+    }
+    table_.insert_batch(resident_);
+    if (over) seconds += evict_over_budget(cost_->tuple_insert_sec);
+  }
+  return seconds;
+}
+
+double HybridHashSpiller::evict_over_budget(double seconds) {
+  if (policy_ == SpillPolicy::kEvictAll) {
     // Basic GRACE: the first overflow sends every partition to disk; from
     // here on the whole join streams through the disk.
     for (std::size_t k = 0; k < partitions_.size(); ++k) {
       if (!partitions_[k].spilled) seconds += evict(k);
     }
-    return seconds;
   }
   while (table_.footprint_bytes() > budget_) {
-    seconds += evict_largest();
+    std::size_t victim = partitions_.size();
+    for (std::size_t k = 0; k < partitions_.size(); ++k) {
+      if (partitions_[k].spilled) continue;
+      if (victim == partitions_.size() ||
+          partitions_[k].mem_tuples > partitions_[victim].mem_tuples) {
+        victim = k;
+      }
+    }
+    EHJA_CHECK_MSG(victim < partitions_.size(),
+                   "over budget with every partition already spilled");
+    seconds += evict(victim);
   }
   return seconds;
-}
-
-double HybridHashSpiller::evict_largest() {
-  std::size_t victim = partitions_.size();
-  for (std::size_t k = 0; k < partitions_.size(); ++k) {
-    if (partitions_[k].spilled) continue;
-    if (victim == partitions_.size() ||
-        partitions_[k].mem_tuples > partitions_[victim].mem_tuples) {
-      victim = k;
-    }
-  }
-  EHJA_CHECK_MSG(victim < partitions_.size(),
-                 "over budget with every partition already spilled");
-  return evict(victim);
 }
 
 double HybridHashSpiller::evict(std::size_t victim) {
@@ -108,8 +149,8 @@ double HybridHashSpiller::evict(std::size_t victim) {
   part.mem_tuples = 0;
   double seconds =
       static_cast<double>(evicted.size()) * cost_->tuple_pack_sec;
-  seconds += part.r_file->append(evicted.size() * schema_.tuple_bytes);
-  part.r_file->note_records(evicted.size());
+  seconds += part.r_file.append(evicted.size() * schema_.tuple_bytes);
+  part.r_file.note_records(evicted.size());
   if (part.r_tuples.empty()) {
     part.r_tuples = std::move(evicted);
   } else {
@@ -118,32 +159,94 @@ double HybridHashSpiller::evict(std::size_t victim) {
   return seconds;
 }
 
-double HybridHashSpiller::add_probe(const Tuple& t, JoinResult& acc,
-                                    std::vector<Tuple>* sink) {
-  EHJA_CHECK(!finished_);
-  const std::uint64_t pos = position_of(t.key);
-  Partition& part = partitions_[partition_of(pos)];
-  if (part.spilled) {
-    part.s_tuples.push_back(t);
-    part.s_file->note_records(1);
-    return cost_->tuple_pack_sec + part.s_file->append(schema_.tuple_bytes);
+double HybridHashSpiller::spill_row(std::vector<Tuple>& rows, SpillFile& file,
+                                    Tuple t) {
+  rows.push_back(t);
+  file.note_records(1);
+  return cost_->tuple_pack_sec + file.append(schema_.tuple_bytes);
+}
+
+double HybridHashSpiller::probe(const TupleBatch& batch, JoinResult& acc,
+                                std::vector<Tuple>* sink) {
+  double seconds = 0.0;
+  const TupleBatch* resident = &batch;
+  if (enforcing()) {
+    EHJA_CHECK(!finished_);
+    resident_.clear();
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      Partition& part = partitions_[partition_of(batch.position(i))];
+      if (part.spilled) {
+        seconds += spill_row(part.s_tuples, part.s_file, batch.tuple(i));
+      } else {
+        resident_.append_row(batch, i);
+      }
+    }
+    resident = &resident_;
   }
-  const auto probe = table_.probe(t, sink);
-  acc.matches += probe.matches;
-  acc.checksum += probe.checksum_delta;
-  return cost_->tuple_probe_sec +
-         static_cast<double>(probe.comparisons) * cost_->tuple_compare_sec +
-         static_cast<double>(probe.matches) * cost_->match_emit_sec;
+  if (resident->empty()) return seconds;
+  const auto agg = table_.probe_batch(*resident, sink);
+  acc.matches += agg.matches;
+  acc.checksum += agg.checksum_delta;
+  return seconds +
+         (static_cast<double>(agg.probed) * cost_->tuple_probe_sec +
+          static_cast<double>(agg.comparisons) * cost_->tuple_compare_sec +
+          static_cast<double>(agg.matches) * cost_->match_emit_sec);
+}
+
+double HybridHashSpiller::reset(const std::vector<PosRange>& discard,
+                                const std::optional<PosRange>& new_range,
+                                JoinResult& acc, std::vector<Tuple>* sink) {
+  if (!enforcing()) {
+    std::uint64_t dropped = 0;
+    for (const PosRange& r : discard) {
+      const std::uint64_t lo = std::max(r.lo, range().lo);
+      const std::uint64_t hi = std::min(r.hi, range().hi);
+      if (lo < hi) dropped += table_.extract_range(PosRange{lo, hi}).size();
+    }
+    if (new_range.has_value()) table_.set_range(*new_range);
+    return static_cast<double>(dropped) * cost_->tuple_insert_sec;
+  }
+  EHJA_CHECK(!finished_);
+  TupleBatch build_keep;
+  TupleBatch probe_keep;
+  const auto keep = [&discard](TupleBatch& out, const std::vector<Tuple>& in) {
+    for (const Tuple& t : in) {
+      const std::uint64_t pos = position_of(t.key);
+      const auto covers = [pos](const PosRange& r) { return r.contains(pos); };
+      if (std::none_of(discard.begin(), discard.end(), covers)) {
+        out.push_back(t);
+      }
+    }
+  };
+  // Drain in sub-partition order: in-memory rows, then the spill files'.
+  double seconds = 0.0;
+  for (Partition& part : partitions_) {
+    keep(build_keep, table_.extract_range(part.range));
+    if (part.spilled) {
+      seconds += part.r_file.flush() + part.s_file.flush();
+      seconds += part.r_file.scan_all() + part.s_file.scan_all();
+      keep(build_keep, part.r_tuples);
+      keep(probe_keep, part.s_tuples);
+    }
+  }
+  // The survivors re-run the dynamic hybrid-hash discipline under fresh
+  // spill streams; deferred probes of still-spilled sub-partitions re-join
+  // at finish() exactly once, as before the reset.
+  table_.reset(new_range.value_or(range()));
+  stream_namespace_ += std::uint64_t{1} << 20;
+  cut();
+  seconds += build(build_keep);
+  return seconds + probe(probe_keep, acc, sink);
 }
 
 double HybridHashSpiller::join_partition(Partition& part, JoinResult& acc,
                                          std::vector<Tuple>* sink) {
-  double seconds = part.r_file->flush() + part.s_file->flush();
+  double seconds = part.r_file.flush() + part.s_file.flush();
   if (part.r_tuples.empty() || part.s_tuples.empty()) {
     // Still pay the scan of whichever side has data (the 2004 code would
     // read the partition to discover it matches nothing).
-    seconds += part.r_file->scan_all();
-    seconds += part.s_file->scan_all();
+    seconds += part.r_file.scan_all();
+    seconds += part.s_file.scan_all();
     return seconds;
   }
   const std::uint64_t r_footprint =
@@ -155,12 +258,12 @@ double HybridHashSpiller::join_partition(Partition& part, JoinResult& acc,
     const std::size_t begin = n * f / passes;
     const std::size_t end = n * (f + 1) / passes;
     // Read this R fragment and build an in-memory table over it.
-    seconds += part.r_file->scan((end - begin) * schema_.tuple_bytes);
+    seconds += part.r_file.scan((end - begin) * schema_.tuple_bytes);
     seconds += static_cast<double>(end - begin) * cost_->tuple_insert_sec;
     LocalHashTable fragment(schema_, part.range);
     for (std::size_t i = begin; i < end; ++i) fragment.insert(part.r_tuples[i]);
     // Each pass rescans the full S partition -- the multi-pass penalty.
-    seconds += part.s_file->scan(part.s_tuples.size() * schema_.tuple_bytes);
+    seconds += part.s_file.scan(part.s_tuples.size() * schema_.tuple_bytes);
     for (const Tuple& s : part.s_tuples) {
       seconds += cost_->tuple_probe_sec;
       const auto probe = fragment.probe(s, sink);
@@ -185,33 +288,6 @@ double HybridHashSpiller::finish(JoinResult& acc, std::vector<Tuple>* sink) {
     if (!part.spilled) continue;
     seconds += join_partition(part, acc, sink);
   }
-  return seconds;
-}
-
-double HybridHashSpiller::extract_all(std::vector<Tuple>& build_out,
-                                      std::vector<Tuple>& probe_out) {
-  EHJA_CHECK(!finished_);
-  double seconds = 0.0;
-  for (Partition& part : partitions_) {
-    if (part.mem_tuples > 0) {
-      std::vector<Tuple> mem = table_.extract_range(part.range);
-      EHJA_CHECK(mem.size() == part.mem_tuples);
-      part.mem_tuples = 0;
-      build_out.insert(build_out.end(), mem.begin(), mem.end());
-    }
-    if (part.spilled) {
-      seconds += part.r_file->flush() + part.s_file->flush();
-      seconds += part.r_file->scan_all() + part.s_file->scan_all();
-      build_out.insert(build_out.end(), part.r_tuples.begin(),
-                       part.r_tuples.end());
-      probe_out.insert(probe_out.end(), part.s_tuples.begin(),
-                       part.s_tuples.end());
-      part.r_tuples.clear();
-      part.s_tuples.clear();
-      part.spilled = false;
-    }
-  }
-  build_tuples_ = 0;
   return seconds;
 }
 
@@ -240,12 +316,9 @@ GraceOutcome grace_join(const Relation& build, const Relation& probe,
                             memory_budget_bytes, fanout, disk, cost,
                             /*stream_namespace=*/1);
   GraceOutcome outcome;
-  for (const Tuple& r : build.tuples()) {
-    outcome.seconds += spiller.add_build(r);
-  }
-  for (const Tuple& s : probe.tuples()) {
-    outcome.seconds += spiller.add_probe(s, outcome.result);
-  }
+  outcome.seconds += spiller.build(TupleBatch::from_tuples(build.tuples()));
+  outcome.seconds +=
+      spiller.probe(TupleBatch::from_tuples(probe.tuples()), outcome.result);
   outcome.seconds += spiller.finish(outcome.result);
   outcome.spilled_build_tuples = spiller.spilled_build_tuples();
   outcome.spilled_probe_tuples = spiller.spilled_probe_tuples();

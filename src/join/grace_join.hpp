@@ -1,33 +1,34 @@
-// Dynamic hybrid-hash / GRACE out-of-core join machinery.
+// The store of one join node: its partition table, resident or spilling.
 //
-// HybridHashSpiller manages one node's position range when the hash table
-// cannot be guaranteed to fit: the range is pre-cut into `fanout` equal
-// sub-partitions; tuples build in memory until the budget is exceeded, then
-// whole sub-partitions are evicted to simulated disk, largest first.  Build
-// tuples for spilled sub-partitions go straight to their R spill file, probe
-// tuples likewise to the S spill file; in-memory sub-partitions are probed
-// immediately (the classic dynamic hybrid-hash discipline).  finish() joins
-// each spilled (R_k, S_k) pair through a LocalHashTable over the
-// sub-partition, multi-pass when R_k alone exceeds the budget (each extra
+// HybridHashSpiller owns the node's NodeTable (lanes included).  Resident,
+// it is that table.  Once spill() enforces the memory budget (at init for
+// the OOC baseline, at kSwitchToSpill for an EHJA node denied an expansion),
+// the range is cut into `fanout` equal sub-partitions; tuples build in
+// memory until the budget is exceeded, then whole sub-partitions are
+// evicted to simulated disk.  Build and probe tuples of spilled
+// sub-partitions go straight to their R and S spill files; in-memory ones
+// are probed immediately (dynamic hybrid hash).  finish() joins each spilled
+// (R_k, S_k) pair, multi-pass when R_k alone exceeds the budget (each extra
 // pass rescans S_k, which is what makes the OOC baseline collapse at small
 // initial node counts -- paper Fig. 2).
 //
+// Both states take whole TupleBatches.  A spilling build cuts its batch
+// right after the row that first takes the footprint past the budget and
+// evicts there, so it decides and charges what a tuple-at-a-time store would.
 // All methods return the virtual seconds consumed (CPU per the cost model +
-// disk per SimDisk); the caller charges them to its node.  This component
-// serves two masters: the paper's "Out of Core" baseline algorithm, and any
-// EHJA node that must degrade gracefully once the potential-node pool is
-// exhausted.
+// disk per SimDisk); the caller charges them to its node.
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <optional>
 #include <vector>
 
 #include "cluster/cost_model.hpp"
-#include "hash/local_hash_table.hpp"
+#include "core/node_table.hpp"
 #include "join/serial_join.hpp"
 #include "storage/sim_disk.hpp"
 #include "storage/spill_file.hpp"
+#include "util/assert.hpp"
 
 namespace ehja {
 
@@ -46,37 +47,66 @@ enum class SpillPolicy {
 
 class HybridHashSpiller {
  public:
+  /// A resident store whose table fans large batches out to
+  /// `intra_threads` lanes; the budget and fanout apply from spill() on.
+  HybridHashSpiller(Schema schema, PosRange range, std::uint32_t intra_threads,
+                    std::uint64_t memory_budget_bytes, std::size_t fanout,
+                    SimDisk& disk, const CostModel& cost,
+                    std::uint64_t stream_namespace);
+
+  /// A one-lane store that enforces the budget from construction.
   HybridHashSpiller(Schema schema, PosRange range,
                     std::uint64_t memory_budget_bytes, std::size_t fanout,
                     SimDisk& disk, const CostModel& cost,
                     std::uint64_t stream_namespace,
                     SpillPolicy policy = SpillPolicy::kEvictLargest);
 
-  /// Route one build-relation tuple; may trigger sub-partition eviction.
-  double add_build(const Tuple& t);
+  /// Start enforcing the budget: the rows already held, in extract_range
+  /// order, re-run the spilling build over a fresh table.
+  double spill(SpillPolicy policy);
 
-  /// Route one probe-relation tuple; in-memory partitions are probed into
-  /// `acc` immediately, spilled ones are deferred to finish().  A non-null
-  /// `sink` receives one Tuple{build_row_id, probe_row_id} per match --
-  /// matches emitted here and in finish() together mirror `acc` exactly,
-  /// whichever side of a spill transition each match lands on.
+  /// Insert build rows; once spilling, may evict sub-partitions.
+  double build(const TupleBatch& batch);
+
+  /// Probe into `acc`; once spilling, rows of spilled sub-partitions wait
+  /// for finish().  A non-null `sink` receives one Tuple{build_row_id,
+  /// probe_row_id} per match -- matches emitted here and in finish()
+  /// together mirror `acc` exactly, whichever side of a spill transition
+  /// each match lands on.
+  double probe(const TupleBatch& batch, JoinResult& acc,
+               std::vector<Tuple>* sink = nullptr);
+
+  /// One-row forms of build and probe.
+  double add_build(const Tuple& t) { return build(one_row(t)); }
   double add_probe(const Tuple& t, JoinResult& acc,
-                   std::vector<Tuple>* sink = nullptr);
+                   std::vector<Tuple>* sink = nullptr) {
+    return probe(one_row(t), acc, sink);
+  }
+
+  /// Recovery surgery: drop every row (build and deferred probe) inside
+  /// `discard`, then take `new_range` if given.  A spilling store drains
+  /// every row (paying the spill files' flush and scan) and feeds the
+  /// survivors back through build, then probe, under fresh spill streams.
+  double reset(const std::vector<PosRange>& discard,
+               const std::optional<PosRange>& new_range, JoinResult& acc,
+               std::vector<Tuple>* sink);
 
   /// Join all spilled (R_k, S_k) pairs into `acc`.  Call once, after both
   /// streams end.
   double finish(JoinResult& acc, std::vector<Tuple>* sink = nullptr);
 
-  /// Drain every build tuple (in memory and on disk) and every deferred
-  /// spilled probe tuple, leaving the spiller empty; returns the seconds
-  /// consumed (disk scans of the spilled partitions).  The recovery
-  /// range-reset uses this to rebuild a node's state minus the discarded
-  /// ranges; the caller re-adds the survivors to a fresh spiller.
-  double extract_all(std::vector<Tuple>& build_out,
-                     std::vector<Tuple>& probe_out);
+  /// The resident table, for split, reshuffle and histogram surgery.
+  NodeTable& table() {
+    EHJA_CHECK_MSG(!enforcing(), "range surgery on a spilling store");
+    return table_;
+  }
 
   // --- observability ---
-  std::uint64_t build_tuples() const { return build_tuples_; }
+  bool enforcing() const { return !partitions_.empty(); }
+  /// Build tuples held, in memory and spilled.
+  std::uint64_t build_tuples() const {
+    return table_.tuple_count() + spilled_build_tuples();
+  }
   std::uint64_t spilled_build_tuples() const;
   std::uint64_t spilled_probe_tuples() const;
   std::size_t spilled_partitions() const;
@@ -87,28 +117,40 @@ class HybridHashSpiller {
  private:
   struct Partition {
     PosRange range;
+    SpillFile r_file;
+    SpillFile s_file;
     bool spilled = false;
     std::uint64_t mem_tuples = 0;  // build tuples currently in memory
-    std::unique_ptr<SpillFile> r_file;
-    std::unique_ptr<SpillFile> s_file;
-    std::vector<Tuple> r_tuples;  // "disk contents"
-    std::vector<Tuple> s_tuples;
+    std::vector<Tuple> r_tuples{};  // "disk contents"
+    std::vector<Tuple> s_tuples{};
   };
 
+  const TupleBatch& one_row(const Tuple& t) {
+    row_.clear();
+    row_.push_back(t);
+    return row_;
+  }
+  /// Cut the table's range into sub-partitions with fresh spill streams.
+  void cut();
   std::size_t partition_of(std::uint64_t pos) const;
-  double evict_largest();
+  /// `seconds` plus the evictions the policy makes once over budget.
+  double evict_over_budget(double seconds);
   double evict(std::size_t victim);
+  double spill_row(std::vector<Tuple>& rows, SpillFile& file, Tuple t);
   double join_partition(Partition& part, JoinResult& acc,
                         std::vector<Tuple>* sink);
 
   Schema schema_;
   std::uint64_t budget_;
-  SpillPolicy policy_;
+  std::size_t fanout_;
+  SpillPolicy policy_ = SpillPolicy::kEvictLargest;
   const CostModel* cost_;
   SimDisk* disk_;
-  LocalHashTable table_;
-  std::vector<Partition> partitions_;
-  std::uint64_t build_tuples_ = 0;
+  std::uint64_t stream_namespace_;  // bumped by each spilling rebuild
+  NodeTable table_;
+  std::vector<Partition> partitions_;  // empty while resident
+  TupleBatch row_;       // the one-row forms' batch
+  TupleBatch resident_;  // a spilling batch's rows bound for the table
   bool finished_ = false;
 };
 

@@ -413,9 +413,8 @@ bool fields(A& a, EhjaConfig& v) {
   return a(v.algorithm, v.initial_join_nodes, v.join_pool_nodes,
            v.data_sources, v.node_hash_memory_bytes, v.build_rel, v.probe_rel,
            v.chunk_tuples, v.generation_slice_tuples, fixed64(v.seed),
-           v.source_progress_slices, v.spill_fanout,
-           v.pick_policy, v.split_variant, v.balanced_initial_partition,
-           v.partition_sample, v.link, v.cost, v.disk, v.faults, v.ft,
+           v.spill_fanout, v.pick_policy, v.split_variant,
+           v.balanced_initial_partition, v.partition_sample, v.link, v.cost, v.disk, v.faults, v.ft,
            v.intra_threads, v.capture_output, v.pipeline_stage);
 }
 

@@ -108,7 +108,8 @@ namespace ehja::wire {
 /// v8: the reshuffle histogram ships sparse -- lo, hi, a cell count, then
 /// one delta-coded (gap, count) pair per occupied position -- and its bin
 /// count leaves both the config handshake and the histogram request.
-inline constexpr std::uint8_t kWireVersion = 8;
+/// v9: the source progress cadence leaves the config handshake.
+inline constexpr std::uint8_t kWireVersion = 9;
 
 /// CRC32 (IEEE 802.3, reflected, poly 0xEDB88320) over `size` bytes.
 std::uint32_t crc32(const std::uint8_t* data, std::size_t size);

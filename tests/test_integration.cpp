@@ -90,11 +90,8 @@ TEST_P(AlgorithmSuite, ThreadRuntimeAgreesWithSimRuntime) {
 TEST_P(AlgorithmSuite, IntraThreadsAgreeWithOneThread) {
   // 2048-row chunks clear NodeTable's fan-out cutoff (kMinRowsPerLane rows
   // per lane) at 2 and 4 lanes, so builds and probes really run on lanes.
-  auto config = small_config(GetParam());
-  config.chunk_tuples = 2048;
-  config.generation_slice_tuples = 2048;
-  config.capture_output = true;
-  const JoinResult expected = reference_join(config);
+  // With a pool of only the initial nodes every overflow is denied: the
+  // nodes switch to spilling, and the lanes serve the spilling store.
   const auto sorted_rows = [](const RunResult& run) {
     std::vector<Tuple> rows = run.metrics.output_rows;
     std::sort(rows.begin(), rows.end(), [](const Tuple& a, const Tuple& b) {
@@ -102,20 +99,41 @@ TEST_P(AlgorithmSuite, IntraThreadsAgreeWithOneThread) {
     });
     return rows;
   };
-  for (const RuntimeKind kind : {RuntimeKind::kSim, RuntimeKind::kThread}) {
-    config.intra_threads = 1;
-    const RunResult one = run_ehja(config, kind);
-    const std::vector<Tuple> want = sorted_rows(one);
-    for (const std::uint32_t threads : {2u, 4u}) {
-      SCOPED_TRACE(::testing::Message() << "runtime " << static_cast<int>(kind)
-                                        << ", intra_threads " << threads);
-      config.intra_threads = threads;
-      const RunResult run = run_ehja(config, kind);
-      EXPECT_EQ(run.join(), expected);
-      EXPECT_EQ(sorted_rows(run), want);
-      if (kind == RuntimeKind::kSim) {
-        EXPECT_EQ(run.metrics.total_time(), one.metrics.total_time());
-        EXPECT_EQ(run.metrics.expansions, one.metrics.expansions);
+  const auto spilled = [](const RunResult& run) {
+    std::uint64_t tuples = 0;
+    for (const NodeMetrics& node : run.metrics.nodes) {
+      tuples += node.spilled_build_tuples;
+    }
+    return tuples;
+  };
+  for (const std::uint32_t pool : {24u, 4u}) {
+    auto config = small_config(GetParam());
+    config.join_pool_nodes = pool;
+    config.chunk_tuples = 2048;
+    config.generation_slice_tuples = 2048;
+    config.capture_output = true;
+    const JoinResult expected = reference_join(config);
+    for (const RuntimeKind kind : {RuntimeKind::kSim, RuntimeKind::kThread}) {
+      config.intra_threads = 1;
+      const RunResult one = run_ehja(config, kind);
+      const std::vector<Tuple> want = sorted_rows(one);
+      if (pool == config.initial_join_nodes) {
+        EXPECT_GT(spilled(one), 0u);
+      }
+      for (const std::uint32_t threads : {2u, 4u}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "pool " << pool << ", runtime "
+                     << static_cast<int>(kind) << ", intra_threads "
+                     << threads);
+        config.intra_threads = threads;
+        const RunResult run = run_ehja(config, kind);
+        EXPECT_EQ(run.join(), expected);
+        EXPECT_EQ(sorted_rows(run), want);
+        if (kind == RuntimeKind::kSim) {
+          EXPECT_EQ(run.metrics.total_time(), one.metrics.total_time());
+          EXPECT_EQ(run.metrics.expansions, one.metrics.expansions);
+          EXPECT_EQ(spilled(run), spilled(one));
+        }
       }
     }
   }

@@ -2,10 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "join/grace_join.hpp"
 #include "join/serial_join.hpp"
+#include "util/rng.hpp"
 #include "util/units.hpp"
 #include "workload/generator.hpp"
 
@@ -259,6 +261,165 @@ TEST(HybridHashSpillerTest, WideFanoutKeepsSpillStreamsDistinct) {
     return fx.disk.seeks();
   };
   EXPECT_EQ(seeks_alternating(32), seeks_alternating(1));
+}
+
+// ---------------------------------- batch calls against one-row calls
+
+enum class KeyShape { kUniform, kSmallDomain, kHotSubPartition };
+
+/// `n` rows with positions in `range`, ids from `id_base`.  Small-domain
+/// and hot keys repeat exactly, so builds and probes match; hot keys put
+/// nine rows in ten into the range's first 64 positions.
+std::vector<Tuple> shaped_rows(KeyShape shape, PosRange range, std::size_t n,
+                               std::uint64_t id_base, std::uint64_t seed) {
+  SplitMix64 rng(seed);
+  std::vector<Tuple> rows;
+  rows.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::uint64_t pos = range.lo + rng.next_below(range.width());
+    std::uint64_t low = rng.next_u64() >> kPositionBits;
+    if (shape == KeyShape::kSmallDomain) {
+      pos = range.lo + rng.next_below(256) * (range.width() / 256);
+      low = rng.next_below(4);
+    } else if (shape == KeyShape::kHotSubPartition && rng.next_below(10) != 0) {
+      pos = range.lo + rng.next_below(64);
+      low = rng.next_below(16);
+    }
+    rows.push_back(Tuple{id_base + i, (pos << (64 - kPositionBits)) | low});
+  }
+  return rows;
+}
+
+/// One store, fed either in batches of `batch_rows` or (0) one row at a
+/// time through add_build/add_probe.
+struct FedStore {
+  SimDisk disk{DiskConfig{}};
+  CostModel cost;
+  std::unique_ptr<HybridHashSpiller> store;
+  std::size_t batch_rows;
+  JoinResult result;
+  std::vector<Tuple> captured;
+  double seconds = 0.0;
+
+  template <typename Batch, typename Row>
+  void feed(const std::vector<Tuple>& rows, Batch batch_call, Row row_call) {
+    if (batch_rows == 0) {
+      for (const Tuple& t : rows) seconds += row_call(t);
+      return;
+    }
+    for (std::size_t i = 0; i < rows.size(); i += batch_rows) {
+      TupleBatch batch;
+      for (std::size_t j = i; j < std::min(rows.size(), i + batch_rows); ++j) {
+        batch.push_back(rows[j]);
+      }
+      seconds += batch_call(batch);
+    }
+  }
+  void build(const std::vector<Tuple>& rows) {
+    feed(
+        rows, [&](const TupleBatch& b) { return store->build(b); },
+        [&](const Tuple& t) { return store->add_build(t); });
+  }
+  void probe(const std::vector<Tuple>& rows) {
+    feed(
+        rows,
+        [&](const TupleBatch& b) {
+          return store->probe(b, result, &captured);
+        },
+        [&](const Tuple& t) {
+          return store->add_probe(t, result, &captured);
+        });
+  }
+};
+
+struct DiffCase {
+  KeyShape shape;
+  std::uint64_t budget_tuples;
+  std::size_t fanout;
+  SpillPolicy policy;
+  std::size_t batch_rows;
+  /// Start resident on two lanes and switch with spill(kEvictLargest)
+  /// after the first build rows, as an EHJA node denied an expansion does.
+  bool start_resident;
+};
+
+/// Runs `c` with batches and with one-row calls: build, (switch,) build,
+/// probe, a recovery reset that discards a sub-range and regrows the range,
+/// more build and probe rows, finish.
+void expect_batches_match_rows(const DiffCase& c) {
+  SCOPED_TRACE(::testing::Message()
+               << "shape " << static_cast<int>(c.shape) << ", budget "
+               << c.budget_tuples << ", fanout " << c.fanout << ", policy "
+               << static_cast<int>(c.policy) << ", batch " << c.batch_rows
+               << ", resident start " << c.start_resident);
+  const Schema schema{100};
+  // A narrow range keeps finish() cheap at a one-tuple budget, where every
+  // spilled build row is a pass of its own.
+  const PosRange range{4096, 8192};
+  const PosRange regrown{4096, 10240};
+  const std::vector<PosRange> discard = {PosRange{5120, 6144}};
+  const auto build1 = shaped_rows(c.shape, range, 1200, 0, 11);
+  const auto build2 = shaped_rows(c.shape, range, 1200, 1200, 12);
+  const auto probe1 = shaped_rows(c.shape, range, 800, 0, 13);
+  const auto build3 = shaped_rows(c.shape, regrown, 600, 2400, 14);
+  const auto probe2 = shaped_rows(c.shape, regrown, 800, 800, 15);
+
+  FedStore fed[2];
+  fed[0].batch_rows = c.batch_rows;
+  fed[1].batch_rows = 0;
+  for (FedStore& f : fed) {
+    const std::uint64_t budget = c.budget_tuples * tuple_footprint(schema);
+    if (c.start_resident) {
+      f.store = std::make_unique<HybridHashSpiller>(
+          schema, range, 2, budget, c.fanout, f.disk, f.cost, 1);
+      f.build(build1);
+      f.seconds += f.store->spill(SpillPolicy::kEvictLargest);
+    } else {
+      f.store = std::make_unique<HybridHashSpiller>(
+          schema, range, budget, c.fanout, f.disk, f.cost, 1, c.policy);
+      f.build(build1);
+    }
+    f.build(build2);
+    f.probe(probe1);
+    f.seconds += f.store->reset(discard, regrown, f.result, &f.captured);
+    f.build(build3);
+    f.probe(probe2);
+    f.seconds += f.store->finish(f.result, &f.captured);
+  }
+  const FedStore& batched = fed[0];
+  const FedStore& rows = fed[1];
+  EXPECT_EQ(batched.store->spilled_partitions(),
+            rows.store->spilled_partitions());
+  EXPECT_EQ(batched.store->spilled_build_tuples(),
+            rows.store->spilled_build_tuples());
+  EXPECT_EQ(batched.store->spilled_probe_tuples(),
+            rows.store->spilled_probe_tuples());
+  EXPECT_EQ(batched.store->memory_footprint(), rows.store->memory_footprint());
+  EXPECT_EQ(batched.disk.bytes_written(), rows.disk.bytes_written());
+  EXPECT_EQ(batched.disk.bytes_read(), rows.disk.bytes_read());
+  EXPECT_EQ(batched.disk.seeks(), rows.disk.seeks());
+  EXPECT_EQ(batched.result, rows.result);
+  EXPECT_EQ(batched.captured, rows.captured);
+  EXPECT_NEAR(batched.seconds, rows.seconds, 1e-9 * rows.seconds);
+}
+
+TEST(HybridHashSpillerTest, BatchCallsMatchOneRowCalls) {
+  for (const KeyShape shape : {KeyShape::kUniform, KeyShape::kSmallDomain,
+                               KeyShape::kHotSubPartition}) {
+    for (const std::uint64_t budget : {1u, 40u, 700u, 5000u}) {
+      for (const std::size_t batch : {1u, 7u, 300u, 5000u}) {
+        for (const std::size_t fanout : {1u, 5u, 64u}) {
+          for (const SpillPolicy policy :
+               {SpillPolicy::kEvictLargest, SpillPolicy::kEvictAll}) {
+            expect_batches_match_rows(
+                {shape, budget, fanout, policy, batch, false});
+          }
+        }
+        expect_batches_match_rows(
+            {shape, budget, 16, SpillPolicy::kEvictLargest, batch, true});
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "actor_harness.hpp"
 #include "core/join_process.hpp"
 #include "core/messages.hpp"
+#include "util/rng.hpp"
 
 namespace ehja {
 namespace {
@@ -21,9 +22,10 @@ struct Fixture {
   ActorId join = kInvalidActor;
   JoinProcessActor* actor = nullptr;
 
-  explicit Fixture(Algorithm algorithm,
-                   std::uint64_t budget_tuples = 1000) {
+  explicit Fixture(Algorithm algorithm, std::uint64_t budget_tuples = 1000,
+                   std::uint32_t intra_threads = 1) {
     config->algorithm = algorithm;
+    config->intra_threads = intra_threads;
     config->data_sources = 1;
     config->chunk_tuples = 100;
     config->node_hash_memory_bytes =
@@ -224,6 +226,75 @@ TEST(JoinActorTest, SwitchToSpillRehomesTable) {
   // Further build chunks keep landing (on disk or in the small table).
   fx.deliver_chunk(fx.build_chunk(300, 50));
   EXPECT_EQ(fx.actor->build_tuples_held(), 250u);
+}
+
+TEST(JoinActorTest, SpillModeOnLanesMatchesOneLane) {
+  // 1024-row chunks clear NodeTable's fan-out cutoff (256 rows per lane) at
+  // two lanes, so the switch's re-home and the spilling store's builds and
+  // probes run on lanes.  The node must report what one lane reports.
+  const auto chunk = [](RelTag rel, std::uint64_t id_base) {
+    Chunk c;
+    c.rel = rel;
+    SplitMix64 rng(id_base + static_cast<std::uint64_t>(rel));
+    for (std::uint64_t i = 0; i < 1024; ++i) {
+      const std::uint64_t pos = rng.next_below(4096);
+      c.batch.push_back(Tuple{id_base + i, (pos << (64 - kPositionBits)) |
+                                               rng.next_below(8)});
+    }
+    return c;
+  };
+  struct Outcome {
+    NodeReportPayload report;
+    std::vector<Tuple> rows;
+    double charged = 0.0;
+  };
+  const auto run = [&](std::uint32_t threads) {
+    Fixture fx(Algorithm::kSplit, 3000, threads);
+    fx.config->capture_output = true;
+    fx.init(PosRange{0, 4096});
+    for (std::uint64_t k = 0; k < 4; ++k) {
+      fx.deliver_chunk(chunk(RelTag::kR, k * 1024));
+    }
+    fx.rt->deliver(fx.join, make_signal(Tag::kSwitchToSpill));
+    EXPECT_TRUE(fx.actor->in_spill_mode());
+    for (std::uint64_t k = 4; k < 8; ++k) {
+      fx.deliver_chunk(chunk(RelTag::kR, k * 1024));
+    }
+    for (std::uint64_t k = 0; k < 4; ++k) {
+      fx.deliver_chunk(chunk(RelTag::kS, k * 1024));
+    }
+    fx.rt->deliver(fx.join, make_signal(Tag::kReportRequest));
+    Outcome out;
+    const auto reports = fx.rt->sent_with_tag(Tag::kNodeReport);
+    EXPECT_EQ(reports.size(), 1u);
+    if (!reports.empty()) out.report = reports[0].msg.as<NodeReportPayload>();
+    for (const auto& sent : fx.rt->sent_with_tag(Tag::kResultChunk)) {
+      const auto& rows = sent.msg.as<ResultChunkPayload>().chunk.batch;
+      for (const Tuple& t : rows) out.rows.push_back(t);
+    }
+    out.charged = fx.rt->charged();
+    return out;
+  };
+  const Outcome one = run(1);
+  const Outcome two = run(2);
+  EXPECT_GT(one.report.metrics.spilled_partitions, 0u);
+  EXPECT_GT(one.report.metrics.matches, 0u);
+  EXPECT_EQ(two.report.metrics.build_tuples, one.report.metrics.build_tuples);
+  EXPECT_EQ(two.report.metrics.build_tuples, 8u * 1024);
+  EXPECT_EQ(two.report.metrics.probe_tuples, one.report.metrics.probe_tuples);
+  EXPECT_EQ(two.report.metrics.matches, one.report.metrics.matches);
+  EXPECT_EQ(two.report.metrics.spilled_build_tuples,
+            one.report.metrics.spilled_build_tuples);
+  EXPECT_EQ(two.report.metrics.spilled_probe_tuples,
+            one.report.metrics.spilled_probe_tuples);
+  EXPECT_EQ(two.report.metrics.spilled_partitions,
+            one.report.metrics.spilled_partitions);
+  EXPECT_EQ(two.report.metrics.max_overshoot_bytes,
+            one.report.metrics.max_overshoot_bytes);
+  EXPECT_EQ(two.report.checksum, one.report.checksum);
+  EXPECT_EQ(two.report.result_rows, one.report.result_rows);
+  EXPECT_EQ(two.rows, one.rows);
+  EXPECT_EQ(two.charged, one.charged);
 }
 
 TEST(JoinActorTest, DrainAckReportsCounters) {

@@ -123,7 +123,7 @@ TEST(WireCrc32, KnownVector) {
 //
 // A deliberate format change bumps kWireVersion and re-records every pin in
 // this file in the same commit.
-static_assert(wire::kWireVersion == 8, "wire format changed: re-record pins");
+static_assert(wire::kWireVersion == 9, "wire format changed: re-record pins");
 
 struct Pin {
   std::size_t size;
@@ -651,8 +651,8 @@ std::vector<std::uint8_t> config_bytes(const EhjaConfig& config) {
   return w.take();
 }
 
-constexpr Pin kSampleConfigPin = {155292, 0x10f6401};
-constexpr Pin kDefaultConfigPin = {286, 0x3f8acfc0};
+constexpr Pin kSampleConfigPin = {155291, 0xd8d76f0};
+constexpr Pin kDefaultConfigPin = {285, 0xea46d4d};
 
 TEST(WireConfig, RoundTripReencodesIdentically) {
   const EhjaConfig original = sample_config();
@@ -794,7 +794,7 @@ std::vector<BodyCase> serve_catalogue() {
                            {11, 0x3298c3c7}));
   all.push_back(body_case("SubmitQuery",
                            SubmitQueryPayload{42, submitted_config()},
-                           {282, 0x259912af}));
+                           {281, 0xc7ad7f59}));
   all.push_back(body_case("QueryAccepted", QueryAcceptedPayload{42, 7, 3},
                            {3, 0x1cd3dd59}));
   all.push_back(body_case(
@@ -848,7 +848,7 @@ std::vector<BodyCase> control_catalogue() {
   all.push_back(body_case("Retire", ActorId{17}, {1, 0x0762ae69}));
   all.push_back(body_case("NodeDead", NodeId{2}, {1, 0xd56f2b94}));
   all.push_back(body_case("QueryConfig", wire::QueryConfigFrame{4, config},
-                          {287, 0x892e1404}));
+                          {286, 0xcc529472}));
   return all;
 }
 

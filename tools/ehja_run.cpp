@@ -296,7 +296,10 @@ int main(int argc, char** argv) {
   const RunResult result = run_ehja(config, runtime);
   const RunMetrics& m = result.metrics;
 
-  std::printf("\n-- timeline (virtual seconds) --\n");
+  // Sim time is modeled; the thread and socket runtimes stamp wall seconds
+  // since the runtime started.
+  std::printf("\n-- timeline (%s seconds) --\n",
+              runtime == RuntimeKind::kSim ? "virtual" : "wall");
   std::printf("build %.3f | reshuffle %.3f | probe %.3f | finish %.3f | "
               "total %.3f\n",
               m.build_time(), m.reshuffle_time(), m.probe_time(),
@@ -311,6 +314,19 @@ int main(int argc, char** argv) {
     std::printf("adaptive choices: %u splits, %u replicas\n",
                 m.adaptive_splits, m.adaptive_replicas);
   }
+  std::uint64_t spilled_build = 0;
+  std::uint64_t spilled_probe = 0;
+  std::uint64_t spilled_partitions = 0;
+  for (const NodeMetrics& node : m.nodes) {
+    spilled_build += node.spilled_build_tuples;
+    spilled_probe += node.spilled_probe_tuples;
+    spilled_partitions += node.spilled_partitions;
+  }
+  std::printf("-- spill --\n");
+  std::printf("%llu build + %llu probe tuples in %llu sub-partitions\n",
+              static_cast<unsigned long long>(spilled_build),
+              static_cast<unsigned long long>(spilled_probe),
+              static_cast<unsigned long long>(spilled_partitions));
   std::printf("-- communication --\n");
   std::printf("source chunks: %llu build, %llu probe | node-to-node: %llu\n",
               static_cast<unsigned long long>(m.source_build_chunks),
