@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "net/wire_format.hpp"
 #include "util/assert.hpp"
 
 namespace ehja {
@@ -49,6 +50,11 @@ std::optional<std::string> EhjaConfig::validate_or_error() const {
   }
   if (data_sources < 1) return "data sources must be >= 1";
   if (chunk_tuples < 1) return "transport chunk must hold >= 1 tuple";
+  // Every data, forwarded and result chunk is cut at chunk_tuples rows and
+  // crosses the socket runtime as one frame, whose body is capped.
+  if (chunk_tuples > wire::kMaxFrameRows) {
+    return "transport chunk too large to ship in one frame";
+  }
   if (generation_slice_tuples < 1) return "generation slice must be >= 1";
   if (build_rel.tuple_count < 1) return "build relation must hold >= 1 tuple";
   if (build_rel.schema.tuple_bytes < 16 || probe_rel.schema.tuple_bytes < 16) {
@@ -59,11 +65,9 @@ std::optional<std::string> EhjaConfig::validate_or_error() const {
     if (rel->data->rows.size() != rel->tuple_count) {
       return "materialized relation row count disagrees with tuple_count";
     }
-    // A materialized relation rides inside the config's wire frame, whose
-    // body is capped at 64 MiB (net/wire.hpp kMaxFrameBody).  Worst-case
-    // varint encoding is 10 bytes per column; reject before a socket run
-    // dies mid-handshake on an oversized frame.
-    if (rel->data->rows.size() > (60u << 20) / 20) {
+    // A materialized relation rides inside the config's wire frame; reject
+    // it before a socket run dies mid-handshake on an oversized frame.
+    if (rel->data->rows.size() > wire::kMaxFrameRows) {
       return "materialized relation too large to ship in one config frame";
     }
   }

@@ -150,7 +150,8 @@ struct EhjaConfig {
   RelationSpec probe_rel{RelTag::kS, 10'000'000, Schema{100},
                          DistributionSpec::Uniform(), nullptr};
 
-  /// Transport chunk capacity (paper: 10 000 tuples).
+  /// Transport chunk capacity (paper: 10 000 tuples); at most
+  /// wire::kMaxFrameRows, so that a chunk fits in one socket frame.
   std::uint32_t chunk_tuples = 10'000;
   /// Tuples a data source generates per scheduling quantum; bounds how stale
   /// a source's partition map can get.

@@ -111,7 +111,8 @@ namespace ehja::wire {
 /// v9: the source progress cadence leaves the config handshake.
 inline constexpr std::uint8_t kWireVersion = 9;
 
-/// CRC32 (IEEE 802.3, reflected, poly 0xEDB88320) over `size` bytes.
+/// CRC32 (IEEE 802.3, reflected, poly 0xEDB88320) over `size` bytes,
+/// computed eight bytes per step (slice-by-8).
 std::uint32_t crc32(const std::uint8_t* data, std::size_t size);
 
 // --- primitives ---
@@ -124,6 +125,9 @@ class Writer {
   void u64(std::uint64_t v);
   /// LEB128 unsigned varint (1..10 bytes).
   void varint(std::uint64_t v);
+  /// One varint per value, back to back, written through a pointer into
+  /// the buffer grown once for the whole column.
+  void varints(std::span<const std::uint64_t> column);
   /// Zigzag-folded signed varint (small magnitudes stay small).
   void zigzag(std::int64_t v);
   /// IEEE-754 double, bit-cast and stored little-endian.
@@ -554,12 +558,10 @@ inline constexpr std::uint8_t kMaxFrameKind =
 
 /// Frame header: magic u32 | version u8 | kind u8 | reserved u16 |
 /// body_len u32 | crc32(body) u32 -- 16 bytes, all little-endian.
-/// (kFrameHeaderBytes lives in net/wire_format.hpp so relation/chunk.hpp
-/// can model transport overhead without depending on the codec.)
+/// (kFrameHeaderBytes and kMaxFrameBody live in net/wire_format.hpp so that
+/// relation/chunk.hpp and config validation can agree with the framing
+/// without depending on the codec.)
 inline constexpr std::uint32_t kFrameMagic = 0x454A4857;  // "WHJE" LE
-/// Upper bound on one frame body; a corrupt length past this is an error,
-/// not an allocation (biggest legitimate frame: a data chunk, ~2 MB).
-inline constexpr std::uint32_t kMaxFrameBody = 64u << 20;
 
 struct Frame {
   FrameKind kind = FrameKind::kHello;

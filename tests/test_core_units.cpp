@@ -5,6 +5,7 @@
 #include "core/config.hpp"
 #include "core/messages.hpp"
 #include "core/metrics.hpp"
+#include "net/wire_format.hpp"
 #include "runtime/message.hpp"
 #include "util/units.hpp"
 
@@ -67,6 +68,14 @@ TEST(ConfigTest, ValidateRejectsNonsensicalKnobs) {
   c = ok;
   c.chunk_tuples = 0;
   EXPECT_NE(error_of(c).find("chunk"), std::string::npos);
+
+  // A chunk crosses the socket runtime as one frame: the row bound is the
+  // largest chunk whose worst-case body still fits under the frame cap.
+  c = ok;
+  c.chunk_tuples = static_cast<std::uint32_t>(wire::kMaxFrameRows);
+  EXPECT_FALSE(c.validate_or_error().has_value());
+  c.chunk_tuples += 1;
+  EXPECT_NE(error_of(c).find("one frame"), std::string::npos);
 
   c = ok;
   c.node_hash_memory_bytes = 1;  // smaller than one tuple footprint

@@ -299,6 +299,35 @@ TEST(ServeForwardCompat, BadFrameGetsRejectAndServerSurvives) {
   EXPECT_EQ(result->checksum, oracle.checksum);
 }
 
+// A client-submitted chunk size whose frame could pass the body cap is a
+// kBadConfig reject at submit time: admitted, it would make a fleet worker
+// abort on the oversized frame and take the server down with it.
+TEST(ServeForwardCompat, OversizedChunkGetsBadConfigAndServerSurvives) {
+  serve::ServeOptions opts;
+  opts.fleet_workers = 2;
+  opts.tenants.push_back(tenant_spec("alpha", 0));
+  ServiceHarness harness(std::move(opts));
+
+  serve::ServeClient client;
+  std::string error;
+  ASSERT_TRUE(client.connect(harness.port(), "alpha", &error)) << error;
+  EhjaConfig oversized = small_query(78);
+  oversized.chunk_tuples = static_cast<std::uint32_t>(wire::kMaxFrameRows) + 1;
+  const auto reject = client.submit(oversized);
+  ASSERT_TRUE(reject.has_value());
+  EXPECT_FALSE(reject->accepted);
+  EXPECT_EQ(reject->reason, serve::RejectCode::kBadConfig);
+
+  // The same connection is still served afterwards.
+  const auto reply = client.submit_with_retry(small_query(79));
+  ASSERT_TRUE(reply.has_value() && reply->accepted);
+  const auto result = client.wait_result(reply->query_id);
+  ASSERT_TRUE(result.has_value());
+  const JoinResult oracle = reference_join(small_query(79));
+  EXPECT_EQ(result->matches, oracle.matches);
+  EXPECT_EQ(result->checksum, oracle.checksum);
+}
+
 // ---------------------------------------------------------------------------
 // Expansion through admission: the same overflowing query expands when its
 // tenant has slot headroom and degrades to spilling (still correct) when

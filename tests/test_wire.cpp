@@ -119,6 +119,46 @@ TEST(WireCrc32, KnownVector) {
             0xCBF43926u);
 }
 
+/// The oracle: the textbook byte-at-a-time CRC32 over the same reflected
+/// polynomial, one table lookup per byte.
+std::uint32_t crc32_bytewise(const std::uint8_t* data, std::size_t size) {
+  static const std::vector<std::uint32_t> table = [] {
+    std::vector<std::uint32_t> t(256);
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < size; ++i) {
+    c = table[(c ^ data[i]) & 0xFF] ^ (c >> 8);
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(WireCrc32, MatchesByteAtATimeAtEveryLengthAndOffset) {
+  // Every start offset 0..7 misaligns the 8-byte blocks differently, and
+  // every length 0..1024 leaves every tail length 0..7 behind them.
+  std::mt19937_64 rng(0xC3C32);
+  std::vector<std::uint8_t> buf(1024 + 8);
+  for (std::uint8_t& b : buf) b = static_cast<std::uint8_t>(rng());
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 1024; ++len) {
+      const std::uint8_t* p = buf.data() + offset;
+      ASSERT_EQ(wire::crc32(p, len), crc32_bytewise(p, len))
+          << "offset " << offset << ", length " << len;
+    }
+  }
+  std::vector<std::uint8_t> big(1 << 20);
+  for (std::uint8_t& b : big) b = static_cast<std::uint8_t>(rng());
+  EXPECT_EQ(wire::crc32(big.data(), big.size()),
+            crc32_bytewise(big.data(), big.size()));
+}
+
 // --- pinned bytes ---
 //
 // A deliberate format change bumps kWireVersion and re-records every pin in
@@ -499,16 +539,41 @@ TEST(WireBatchCodec, LargeBatchRoundTripsAndRecomputesPositions) {
 }
 
 TEST(WireBatchCodec, ExtremeColumnValuesSurvive) {
-  Chunk chunk;
-  chunk.rel = RelTag::kS;
-  chunk.batch = TupleBatch::from_tuples(
-      {Tuple{0, 0}, Tuple{~0ull, ~0ull}, Tuple{1ull << 63, 1ull << 63},
-       Tuple{0x8080808080808080ull, 0x7f7f7f7f7f7f7f7full}});
-  const auto bytes = encode_one(chunk_message(chunk));
-  Reader r(bytes);
-  Message out;
-  ASSERT_TRUE(wire::decode_message(r, out));
-  EXPECT_EQ(out.as<ChunkPayload>().chunk.batch, chunk.batch);
+  // Every varint length boundary (0, 2^7k - 1 and 2^7k for k = 1..9, 2^63,
+  // 2^64 - 1) plus two alternating bit patterns.  Both columns cycle
+  // through all of them, in opposite orders, so rows mix lengths.
+  std::vector<std::uint64_t> values = {0};
+  for (int k = 1; k <= 9; ++k) {
+    values.push_back((1ull << (7 * k)) - 1);
+    values.push_back(1ull << (7 * k));
+  }
+  values.insert(values.end(), {1ull << 63, ~0ull, 0x8080808080808080ull,
+                               0x7f7f7f7f7f7f7f7full});
+  for (const std::size_t rows : {0u, 1u, 10'000u}) {
+    Chunk chunk;
+    chunk.rel = RelTag::kS;
+    for (std::size_t i = 0; i < rows; ++i) {
+      const std::size_t j = i % values.size();
+      chunk.batch.append(values[j], values[values.size() - 1 - j]);
+    }
+    // The column encoder writes exactly the bytes of one varint per value.
+    Writer reference;
+    reference.u8(static_cast<std::uint8_t>(chunk.rel));
+    reference.varint(rows);
+    for (std::size_t i = 0; i < rows; ++i) reference.varint(chunk.batch.id(i));
+    for (std::size_t i = 0; i < rows; ++i) reference.varint(chunk.batch.key(i));
+    const std::vector<std::uint8_t> body = wire::encode_body(chunk);
+    EXPECT_EQ(body, reference.data()) << rows << " rows";
+    Chunk back;
+    ASSERT_TRUE(wire::decode_body(body, back)) << rows << " rows";
+    EXPECT_EQ(back.batch, chunk.batch);
+
+    const auto bytes = encode_one(chunk_message(chunk));
+    Reader r(bytes);
+    Message out;
+    ASSERT_TRUE(wire::decode_message(r, out)) << rows << " rows";
+    EXPECT_EQ(out.as<ChunkPayload>().chunk.batch, chunk.batch);
+  }
 }
 
 TEST(WireBatchCodec, TruncationAndCorruptionAreTotal) {
