@@ -56,6 +56,11 @@ std::optional<std::string> EhjaConfig::validate_or_error() const {
     return "transport chunk too large to ship in one frame";
   }
   if (generation_slice_tuples < 1) return "generation slice must be >= 1";
+  // A data source stages a whole slice in one reservation of the same
+  // rows a chunk carries; an unbounded one kills the process hosting it.
+  if (generation_slice_tuples > wire::kMaxFrameRows) {
+    return "generation slice too large to stage";
+  }
   if (build_rel.tuple_count < 1) return "build relation must hold >= 1 tuple";
   if (build_rel.schema.tuple_bytes < 16 || probe_rel.schema.tuple_bytes < 16) {
     return "tuples must be >= 16 bytes (id + key header)";

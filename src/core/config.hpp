@@ -154,7 +154,7 @@ struct EhjaConfig {
   /// wire::kMaxFrameRows, so that a chunk fits in one socket frame.
   std::uint32_t chunk_tuples = 10'000;
   /// Tuples a data source generates per scheduling quantum; bounds how stale
-  /// a source's partition map can get.
+  /// a source's partition map can get.  At most wire::kMaxFrameRows.
   std::uint32_t generation_slice_tuples = 10'000;
 
   std::uint64_t seed = 20040607;  // HPDC'04 conference date

@@ -270,56 +270,58 @@ void DataSourceActor::route_batch(const TupleBatch& batch, RelTag rel,
                                   bool probe_fanout) {
   const std::size_t n = batch.size();
   if (n == 0) return;
-  // One-pass partition histogram over the precomputed position column:
-  // the destination map entry of every row plus per-entry counts.
-  stage_entry_.resize(n);
-  entry_counts_.assign(map_.size(), 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t idx = map_.index_for(batch.position(i));
-    stage_entry_[i] = static_cast<std::uint32_t>(idx);
-    ++entry_counts_[idx];
-  }
-  // Size the destination buffers from the histogram before scattering.
   const auto& entries = map_.entries();
-  for (std::size_t idx = 0; idx < entries.size(); ++idx) {
-    const std::uint32_t count = entry_counts_[idx];
-    if (count == 0) continue;
-    const auto reserve_for = [&](ActorId owner) {
-      Chunk& buffer = buffers_[owner];
-      buffer.batch.reserve(std::min<std::size_t>(
-          config_->chunk_tuples, buffer.size() + count));
-    };
-    if (!probe_fanout) {
-      reserve_for(entries[idx].active_owner());
-    } else {
-      for (ActorId owner : entries[idx].owners) reserve_for(owner);
+  // One slot per distinct actor the slice can reach (an actor may own
+  // several entries): an entry's active owner during the build, every
+  // owner, in `owners` order, for the probe broadcast.
+  slots_.clear();
+  fan_.clear();
+  fan_begin_.assign(1, 0);
+  for (const PartitionMap::Entry& entry : entries) {
+    const std::size_t owners = probe_fanout ? entry.owners.size() : 1;
+    for (std::size_t k = 0; k < owners; ++k) {
+      std::size_t s = 0;
+      while (s < slots_.size() && slots_[s].to != entry.owners[k]) ++s;
+      if (s == slots_.size()) slots_.push_back(Slot{entry.owners[k]});
+      fan_.push_back(static_cast<std::uint32_t>(s));
+    }
+    fan_begin_.push_back(static_cast<std::uint32_t>(fan_.size()));
+  }
+  // The destination entry of every row, then the rows each slot receives.
+  const std::uint32_t* positions = batch.positions().data();
+  stage_entry_.resize(n);
+  entry_counts_.assign(entries.size(), 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t e = map_.index_for(positions[i]);
+    stage_entry_[i] = static_cast<std::uint32_t>(e);
+    ++entry_counts_[e];
+  }
+  for (std::size_t e = 0; e < entries.size(); ++e) {
+    for (std::uint32_t k = fan_begin_[e]; k < fan_begin_[e + 1]; ++k) {
+      slots_[fan_[k]].rows += entry_counts_[e];
     }
   }
   // Scatter in generation order; a buffer flushes the moment it fills, so
   // chunk boundaries and send order match the tuple-at-a-time semantics.
   for (std::size_t i = 0; i < n; ++i) {
-    const PartitionMap::Entry& entry = entries[stage_entry_[i]];
-    if (!probe_fanout) {
-      buffer_row(entry.active_owner(), batch, i, rel);
-    } else {
-      // Probe: replicated ranges receive every probe tuple on all replicas.
-      for (ActorId owner : entry.owners) {
-        buffer_row(owner, batch, i, rel);
+    const std::uint32_t e = stage_entry_[i];
+    for (std::uint32_t k = fan_begin_[e]; k < fan_begin_[e + 1]; ++k) {
+      Slot& slot = slots_[fan_[k]];
+      if (slot.buffer == nullptr) {
+        Chunk& buffer = buffers_[slot.to];
+        if (buffer.empty()) buffer.rel = rel;
+        EHJA_CHECK_MSG(buffer.rel == rel, "mixed-relation buffer");
+        buffer.batch.reserve(std::min<std::size_t>(
+            config_->chunk_tuples, buffer.size() + slot.rows));
+        slot.buffer = &buffer;
+      }
+      slot.buffer->batch.append_row(batch, i);
+      --slot.rows;
+      if (slot.buffer->size() >= config_->chunk_tuples) {
+        flush(slot.to);
+        slot.buffer = nullptr;
       }
     }
-  }
-}
-
-void DataSourceActor::buffer_row(ActorId to, const TupleBatch& batch,
-                                 std::size_t i, RelTag rel) {
-  Chunk& buffer = buffers_[to];
-  if (buffer.empty()) {
-    buffer.rel = rel;
-  }
-  EHJA_CHECK_MSG(buffer.rel == rel, "mixed-relation buffer");
-  buffer.batch.append_row(batch, i);
-  if (buffer.size() >= config_->chunk_tuples) {
-    flush(to);
   }
 }
 

@@ -72,14 +72,12 @@ class DataSourceActor final : public Actor {
   void generate_slice();
   void handle_replay(const ReplayRequestPayload& req);
   void replay_slice();
-  /// Route a staged generation or replay batch: one histogram pass over the
-  /// position column (destination entry per row + per-entry counts, used to
-  /// size the buffers), then an in-order scatter so chunk boundaries match
-  /// the tuple-at-a-time semantics exactly.
+  /// Route a staged generation or replay batch: map the slice's
+  /// destinations to dense slots, take one pass over the position column
+  /// (destination entry per row + rows per slot, used to size the
+  /// buffers), then scatter in order so chunk boundaries match the
+  /// tuple-at-a-time semantics exactly.
   void route_batch(const TupleBatch& batch, RelTag rel, bool probe_fanout);
-  /// Append row `i` of `batch` to `to`'s buffer (no re-hashing).
-  void buffer_row(ActorId to, const TupleBatch& batch, std::size_t i,
-                  RelTag rel);
   void flush(ActorId to);
   void flush_all();
   /// Queue a kGenSlice self-message unless one is already outstanding.
@@ -99,7 +97,20 @@ class DataSourceActor final : public Actor {
   /// Reused staging area for one generation or replay slice (columnar;
   /// positions are hashed once here and reused by every later hop).
   TupleBatch stage_;
-  /// Scratch of route_batch's histogram pass (reused across slices).
+  /// One destination of the slice being routed: its actor, its buffer in
+  /// buffers_ (null until the slot's first row, and again after each
+  /// flush, which erases the map node) and the slice's rows still bound
+  /// for it.
+  struct Slot {
+    ActorId to = kInvalidActor;
+    Chunk* buffer = nullptr;
+    std::uint32_t rows = 0;
+  };
+  /// route_batch's scratch, reused across slices: entry e reaches the
+  /// slots fan_[fan_begin_[e]] .. fan_[fan_begin_[e + 1] - 1].
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> fan_begin_;
+  std::vector<std::uint32_t> fan_;
   std::vector<std::uint32_t> stage_entry_;
   std::vector<std::uint32_t> entry_counts_;
 

@@ -305,13 +305,12 @@ void JoinProcessActor::handle_split_request(const SplitRequestPayload& req) {
   const PosRange range = store_->range();
   EHJA_CHECK(req.moved.lo > range.lo && req.moved.hi == range.hi);
 
-  std::vector<Tuple> moved = store_->table().extract_range(req.moved);
+  const TupleBatch moved = store_->table().extract_range(req.moved);
   store_->table().set_range(PosRange{range.lo, req.moved.lo});
   forward_table_.emplace_back(req.moved, req.target);
 
-  chunks_forwarded_ += ship(req.target, std::move(moved),
-                            config_->build_rel.tag,
-                            config_->build_rel.schema, epoch_);
+  chunks_forwarded_ += ship_batch(req.target, moved, config_->build_rel.tag,
+                                  config_->build_rel.schema, epoch_);
   ForwardEndPayload end;
   end.op_id = req.op_id;
   send(req.target, make_message(Tag::kForwardEnd, end, kControlWireBytes));
@@ -362,12 +361,9 @@ void JoinProcessActor::handle_reshuffle(const ReshuffleMovePayload& move) {
       mine = entry.range;
       continue;
     }
-    std::vector<Tuple> out = store_->table().extract_range(entry.range);
-    if (!out.empty()) {
-      chunks_forwarded_ += ship(entry.owners.front(), std::move(out),
-                                config_->build_rel.tag,
-                                config_->build_rel.schema, epoch_);
-    }
+    chunks_forwarded_ += ship_batch(
+        entry.owners.front(), store_->table().extract_range(entry.range),
+        config_->build_rel.tag, config_->build_rel.schema, epoch_);
   }
   EHJA_CHECK_MSG(!mine.empty(), "reshuffle plan omits this member");
   store_->table().set_range(mine);
@@ -376,14 +372,6 @@ void JoinProcessActor::handle_reshuffle(const ReshuffleMovePayload& move) {
   send(scheduler_,
        make_message(Tag::kReshuffleDone, done, kControlWireBytes));
   note_overshoot();
-}
-
-std::uint64_t JoinProcessActor::ship(ActorId target, std::vector<Tuple> tuples,
-                                     RelTag rel, const Schema& schema,
-                                     std::uint64_t epoch) {
-  if (tuples.empty()) return 0;
-  return ship_batch(target, TupleBatch::from_tuples(tuples), rel, schema,
-                    epoch);
 }
 
 std::uint64_t JoinProcessActor::ship_batch(ActorId target,

@@ -86,13 +86,10 @@ class JoinProcessActor final : public Actor {
   /// behind an epoch fence (its range is being replayed; drop it).
   bool fence_drops(std::uint64_t chunk_epoch, std::uint64_t pos) const;
   void after_insert_overflow_check();
-  /// Ship `tuples` to `target` as chunks stamped `epoch`; returns chunks
+  /// Ship `batch` to `target` as chunks stamped `epoch`, cut into
+  /// contiguous column slices of at most chunk_tuples rows; returns chunks
   /// sent.  Forwards of an incoming chunk preserve its epoch; shipments out
   /// of this node's own table carry the node's current epoch.
-  std::uint64_t ship(ActorId target, std::vector<Tuple> tuples, RelTag rel,
-                     const Schema& schema, std::uint64_t epoch);
-  /// Batch form: re-chunks `batch` into contiguous column slices of at
-  /// most chunk_tuples rows each (no per-tuple copies).
   std::uint64_t ship_batch(ActorId target, const TupleBatch& batch, RelTag rel,
                            const Schema& schema, std::uint64_t epoch);
   std::uint64_t budget() const;

@@ -109,7 +109,7 @@ class NodeTable {
     return agg;
   }
 
-  std::vector<Tuple> extract_range(const PosRange& sub) {
+  TupleBatch extract_range(const PosRange& sub) {
     return table_.extract_range(sub);
   }
   void set_range(const PosRange& next) { table_.set_range(next); }

@@ -321,29 +321,42 @@ std::uint32_t LocalHashTable::index_find(std::uint64_t key) const {
   }
 }
 
-std::vector<Tuple> LocalHashTable::extract_range(const PosRange& sub) {
+TupleBatch LocalHashTable::extract_range(const PosRange& sub) {
   EHJA_CHECK(sub.lo >= range_.lo && sub.hi <= range_.hi);
-  std::vector<Tuple> extracted;
-  bool removed = false;
-  for (std::uint64_t pos = sub.lo; pos < sub.hi; ++pos) {
-    ChainRef& c = chain(pos);
-    if (c.count == 0) continue;
-    // Chains link newest-first; reverse the collected segment so the
-    // extracted run preserves insertion order per position.
-    const std::size_t mark = extracted.size();
-    for (std::uint32_t e = c.head; e != kNil; e = slab_[e].chain_next) {
-      extracted.push_back(Tuple{slab_[e].id, slab_[e].key});
+  ChainRef* chains = chains_.data() + (sub.lo - range_.lo);
+  const std::size_t width = static_cast<std::size_t>(sub.width());
+  std::uint64_t rows = 0;
+  for (std::size_t p = 0; p < width; ++p) rows += chains[p].count;
+  TupleBatch extracted;
+  if (rows == 0) return extracted;
+  const TupleBatch::Columns out =
+      extracted.append_rows(static_cast<std::size_t>(rows));
+  const Entry* slab = slab_.data();
+  std::size_t end = 0;  // one past the current chain's segment
+  for (std::size_t p = 0; p < width; ++p) {
+    if (p + kPrefetchAhead < width && chains[p + kPrefetchAhead].count != 0) {
+      EHJA_PREFETCH(&slab[chains[p + kPrefetchAhead].head]);
     }
-    std::reverse(extracted.begin() + mark, extracted.end());
-    tuple_count_ -= c.count;
-    footprint_bytes_ -=
-        static_cast<std::uint64_t>(c.count) * tuple_footprint(schema_);
+    ChainRef& c = chains[p];
+    if (c.count == 0) continue;
+    // Chains link newest first; filling the chain's segment back to front
+    // leaves its rows in insertion order.
+    end += c.count;
+    std::size_t j = end;
+    const auto pos = static_cast<std::uint32_t>(sub.lo + p);
+    for (std::uint32_t e = c.head; e != kNil; e = slab[e].chain_next) {
+      --j;
+      out.ids[j] = slab[e].id;
+      out.keys[j] = slab[e].key;
+      out.positions[j] = pos;
+    }
     c = ChainRef{};
-    removed = true;
   }
+  tuple_count_ -= rows;
+  footprint_bytes_ -= rows * tuple_footprint(schema_);
   // Removed entries stay in the slab but leave the chains; the index would
   // keep resolving them, so it must be rebuilt before the next probe.
-  if (removed) index_built_ = false;
+  index_built_ = false;
   return extracted;
 }
 

@@ -42,8 +42,9 @@
 // against its node's budget to detect bucket overflow.
 //
 // Range surgery -- extract_range() for split migration, reshuffle and spill
-// eviction, set_range() after a reshuffle -- returns the removed tuples so
-// the caller can re-chunk and ship them, keeping accounting exact.
+// eviction, set_range() after a reshuffle -- returns the removed rows as a
+// TupleBatch, one column pass over the chains, so the caller can re-chunk
+// and ship them without re-hashing, keeping accounting exact.
 // (Removed slab entries are never reclaimed; the slab high-water mark is
 // bounded by the tuples this node ever inserted.)
 //
@@ -130,9 +131,10 @@ class LocalHashTable {
                               std::size_t end,
                               std::vector<Tuple>* sink = nullptr) const;
 
-  /// Remove and return every tuple whose position lies in `sub` (must be
-  /// inside range()); footprint shrinks accordingly.
-  std::vector<Tuple> extract_range(const PosRange& sub);
+  /// Remove and return every row whose position lies in `sub` (must be
+  /// inside range()), in ascending position and, within a position, in
+  /// insertion order; footprint shrinks accordingly.
+  TupleBatch extract_range(const PosRange& sub);
 
   /// Shrink/slide the owned range after a reshuffle; every retained tuple
   /// must lie inside the new range (checked).

@@ -1,6 +1,6 @@
 #include "hash/partition_map.hpp"
 
-#include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "util/assert.hpp"
@@ -32,12 +32,19 @@ PartitionMap PartitionMap::from_entries(std::vector<Entry> entries,
 }
 
 std::size_t PartitionMap::index_for(std::uint64_t pos) const {
-  EHJA_CHECK(pos < positions_);
-  const auto it = std::upper_bound(
-      entries_.begin(), entries_.end(), pos,
-      [](std::uint64_t p, const Entry& e) { return p < e.range.lo; });
-  EHJA_CHECK(it != entries_.begin());
-  return static_cast<std::size_t>(it - entries_.begin()) - 1;
+  EHJA_CHECK(pos < positions_ && !entries_.empty());
+  // The last entry whose range starts at or below pos; check() pins
+  // entries_[0].range.lo to 0, so there always is one.  Branchless: a
+  // source routes rows at random positions, so a branching search would
+  // mispredict about half its steps.  The answer stays in [base, base + n).
+  const Entry* base = entries_.data();
+  std::size_t n = entries_.size();
+  while (n > 1) {
+    const std::size_t half = n / 2;
+    base = base[half].range.lo <= pos ? base + half : base;
+    n -= half;
+  }
+  return static_cast<std::size_t>(base - entries_.data());
 }
 
 const PartitionMap::Entry& PartitionMap::entry_for(std::uint64_t pos) const {

@@ -66,7 +66,7 @@ double HybridHashSpiller::spill(SpillPolicy policy) {
   cut();
   if (table_.tuple_count() == 0) return 0.0;
   // Re-home the rows held so far; evictions are charged as disk writes.
-  const auto rows = TupleBatch::from_tuples(table_.extract_range(range()));
+  const TupleBatch rows = table_.extract_range(range());
   table_.reset(range());
   return build(rows);
 }
@@ -144,18 +144,15 @@ double HybridHashSpiller::evict_over_budget(double seconds) {
 double HybridHashSpiller::evict(std::size_t victim) {
   Partition& part = partitions_[victim];
   part.spilled = true;
-  std::vector<Tuple> evicted = table_.extract_range(part.range);
+  const TupleBatch evicted = table_.extract_range(part.range);
   EHJA_CHECK(evicted.size() == part.mem_tuples);
   part.mem_tuples = 0;
   double seconds =
       static_cast<double>(evicted.size()) * cost_->tuple_pack_sec;
   seconds += part.r_file.append(evicted.size() * schema_.tuple_bytes);
   part.r_file.note_records(evicted.size());
-  if (part.r_tuples.empty()) {
-    part.r_tuples = std::move(evicted);
-  } else {
-    part.r_tuples.insert(part.r_tuples.end(), evicted.begin(), evicted.end());
-  }
+  part.r_tuples.reserve(part.r_tuples.size() + evicted.size());
+  for (const Tuple t : evicted) part.r_tuples.push_back(t);
   return seconds;
 }
 
@@ -209,19 +206,22 @@ double HybridHashSpiller::reset(const std::vector<PosRange>& discard,
   EHJA_CHECK(!finished_);
   TupleBatch build_keep;
   TupleBatch probe_keep;
-  const auto keep = [&discard](TupleBatch& out, const std::vector<Tuple>& in) {
+  const auto kept = [&discard](std::uint64_t pos) {
+    const auto covers = [pos](const PosRange& r) { return r.contains(pos); };
+    return std::none_of(discard.begin(), discard.end(), covers);
+  };
+  const auto keep = [&kept](TupleBatch& out, const std::vector<Tuple>& in) {
     for (const Tuple& t : in) {
-      const std::uint64_t pos = position_of(t.key);
-      const auto covers = [pos](const PosRange& r) { return r.contains(pos); };
-      if (std::none_of(discard.begin(), discard.end(), covers)) {
-        out.push_back(t);
-      }
+      if (kept(position_of(t.key))) out.push_back(t);
     }
   };
   // Drain in sub-partition order: in-memory rows, then the spill files'.
   double seconds = 0.0;
   for (Partition& part : partitions_) {
-    keep(build_keep, table_.extract_range(part.range));
+    const TupleBatch held = table_.extract_range(part.range);
+    for (std::size_t i = 0; i < held.size(); ++i) {
+      if (kept(held.position(i))) build_keep.append_row(held, i);
+    }
     if (part.spilled) {
       seconds += part.r_file.flush() + part.s_file.flush();
       seconds += part.r_file.scan_all() + part.s_file.scan_all();

@@ -36,8 +36,8 @@ inline constexpr std::size_t kMaxVarintBytes = varint_bytes(~0ull);
 /// both at worst-case varints still leave 4 MiB of the body cap for the
 /// envelope around them.  EhjaConfig::validate_or_error bounds the
 /// transport chunk (data, forwarded and result chunks are cut at
-/// chunk_tuples rows) and a materialized relation (it rides inside the
-/// config frame) by it.
+/// chunk_tuples rows), a materialized relation (it rides inside the
+/// config frame) and a data source's generation slice by it.
 inline constexpr std::size_t kMaxFrameRows =
     (kMaxFrameBody - (4u << 20)) / (2 * kMaxVarintBytes);
 

@@ -30,4 +30,13 @@ void TupleBatch::append_range(const TupleBatch& src, std::size_t begin,
                     src.positions_.begin() + end);
 }
 
+TupleBatch::Columns TupleBatch::append_rows(std::size_t n) {
+  const std::size_t base = size();
+  ids_.resize(base + n);
+  keys_.resize(base + n);
+  positions_.resize(base + n);
+  return Columns{ids_.data() + base, keys_.data() + base,
+                 positions_.data() + base};
+}
+
 }  // namespace ehja

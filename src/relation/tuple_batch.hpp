@@ -15,7 +15,8 @@
 // footprint and wire-cost computations.
 //
 // Builder API: append()/push_back() grow all columns in lockstep;
-// append_row()/append_range() copy rows across batches without re-hashing.
+// append_row()/append_range() copy rows across batches without re-hashing;
+// append_rows() hands out raw columns for a bulk writer to fill.
 // Iterator API: begin()/end() yield materialized Tuple values for code that
 // wants row-at-a-time access (tests, the serial reference join).
 #pragma once
@@ -57,6 +58,15 @@ class TupleBatch {
 
   /// Bulk-copy rows [begin, end) of `src` (column memcpy, no re-hashing).
   void append_range(const TupleBatch& src, std::size_t begin, std::size_t end);
+
+  /// The columns of `n` rows appended for the caller to fill in place; the
+  /// caller writes position_of(key) into every position it fills.
+  struct Columns {
+    std::uint64_t* ids;
+    std::uint64_t* keys;
+    std::uint32_t* positions;
+  };
+  Columns append_rows(std::size_t n);
 
   std::uint64_t id(std::size_t i) const { return ids_[i]; }
   std::uint64_t key(std::size_t i) const { return keys_[i]; }

@@ -50,6 +50,11 @@ constexpr std::size_t kCoordinatorBatch = 64;
 // A worker's local batch stays small so a self-deferring actor (a data
 // source generating slices) cannot starve inbound control traffic.
 constexpr std::size_t kWorkerBatch = 32;
+// A link starts sending inside a handler once this many bytes wait in its
+// output buffer (about two full data frames of 10k rows), instead of after
+// the handler returns and the loop has worked through its batch.  A turn's
+// control frames stay far below it, so they still go out once per turn.
+constexpr std::size_t kEarlyFlushBytes = 256u << 10;
 constexpr int kIdlePollMs = 50;
 constexpr double kHandshakeTimeoutSec = 60.0;
 constexpr std::uint64_t kFirstIncarnation = 1;
@@ -130,6 +135,12 @@ void SocketLoop::route_to(NodeId dst, ActorId to, NodeId from_node,
   w.varint(c.next_send_seq++);
   wire::encode_message(msg, w);
   wire::append_frame(c.out, wire::FrameKind::kActorMsg, w.data());
+  if (c.out.size() - c.out_off >= kEarlyFlushBytes) {
+    flush_out(c);
+    // pump() polls usable links only, so a break found here is reported
+    // here or never.
+    if (c.broken) on_connection_lost(c);
+  }
 }
 
 void SocketLoop::defer(Actor& from, Message msg) {

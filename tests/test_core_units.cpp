@@ -77,6 +77,16 @@ TEST(ConfigTest, ValidateRejectsNonsensicalKnobs) {
   c.chunk_tuples += 1;
   EXPECT_NE(error_of(c).find("one frame"), std::string::npos);
 
+  // A source stages a whole generation slice at once; the wire carries any
+  // u32, so a served query must not be able to ask for billions of rows.
+  c = ok;
+  c.generation_slice_tuples = 0;
+  EXPECT_NE(error_of(c).find("generation slice"), std::string::npos);
+  c.generation_slice_tuples = static_cast<std::uint32_t>(wire::kMaxFrameRows);
+  EXPECT_FALSE(c.validate_or_error().has_value());
+  c.generation_slice_tuples += 1;
+  EXPECT_NE(error_of(c).find("generation slice"), std::string::npos);
+
   c = ok;
   c.node_hash_memory_bytes = 1;  // smaller than one tuple footprint
   EXPECT_NE(error_of(c).find("hash memory"), std::string::npos);

@@ -1,13 +1,19 @@
 // Protocol-level unit tests for DataSourceActor via the actor harness:
 // routing, chunk buffering, map-update adoption, probe broadcast, source
-// completion reporting.
+// completion reporting, and a differential test of the batched router
+// against the tuple-at-a-time one.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "actor_harness.hpp"
 #include "core/data_source.hpp"
 #include "core/messages.hpp"
+#include "util/rng.hpp"
+#include "workload/generator.hpp"
 
 namespace ehja {
 namespace {
@@ -46,6 +52,22 @@ struct Fixture {
     StartBuildPayload payload;
     payload.map = std::move(map);
     rt->deliver(source, make_message(Tag::kStartBuild, payload, 100));
+  }
+
+  /// Deliver the source's pending kGenSlice (always its last send) up to
+  /// `limit` times, stopping early once it stops self-deferring.
+  void run_slices(std::size_t limit) {
+    auto& outbox = rt->outbox();
+    for (std::size_t ran = 0; ran < limit && !outbox.empty() &&
+                              outbox.back().to == source &&
+                              outbox.back().msg.tag ==
+                                  static_cast<int>(Tag::kGenSlice);
+         ++ran) {
+      Message msg = std::move(outbox.back().msg);
+      msg.from = outbox.back().from;
+      outbox.pop_back();
+      rt->actor(source).on_message(msg);
+    }
   }
 
   /// Run generation slices until the source stops self-deferring.
@@ -221,6 +243,149 @@ TEST(DataSourceTest, ChargesGenerationCpu) {
   fx.drain_generation();
   // At least tuple_generate_sec per tuple must have been charged.
   EXPECT_GE(fx.rt->charged(), 4000 * fx.config->cost.tuple_generate_sec);
+}
+
+// ----------------------------------------------- routing differential test
+//
+// route_batch against the tuple-at-a-time router it replaced: a row goes to
+// its entry's active owner (build) or to every owner in `owners` order
+// (probe), a buffer is sent the moment it fills, and what is left when the
+// relation ends is flushed in actor order.  Entries are found by a linear
+// scan, so the oracle shares no routing code with the source.
+class OracleRouter {
+ public:
+  explicit OracleRouter(std::uint32_t chunk) : chunk_(chunk) {}
+
+  void route(const PartitionMap& map, const TupleBatch& slice, RelTag rel,
+             bool probe_fanout) {
+    for (std::size_t i = 0; i < slice.size(); ++i) {
+      std::size_t e = 0;
+      while (!map.entries()[e].range.contains(slice.position(i))) ++e;
+      const auto& owners = map.entries()[e].owners;
+      const std::size_t fan = probe_fanout ? owners.size() : 1;
+      for (std::size_t k = 0; k < fan; ++k) {
+        buffer_row(owners[k], slice, i, rel);
+      }
+    }
+  }
+
+  void flush_all() {
+    while (!buffers_.empty()) flush(buffers_.begin()->first);
+  }
+
+  std::vector<std::pair<ActorId, Chunk>> sent;
+
+ private:
+  void buffer_row(ActorId to, const TupleBatch& batch, std::size_t i,
+                  RelTag rel) {
+    Chunk& buffer = buffers_[to];
+    if (buffer.empty()) buffer.rel = rel;
+    buffer.batch.append_row(batch, i);
+    if (buffer.size() >= chunk_) flush(to);
+  }
+
+  void flush(ActorId to) {
+    auto it = buffers_.find(to);
+    sent.emplace_back(to, std::move(it->second));
+    buffers_.erase(it);
+  }
+
+  std::uint32_t chunk_;
+  std::map<ActorId, Chunk> buffers_;
+};
+
+/// A map of `entries` entries grown by random splits.  From three entries
+/// on it starts as [10, 11, 10], so actor 10 owns two non-adjacent
+/// entries; later splits hand out actors 10..14, so most actors own
+/// several.  `replicas` random entries then gain one replica each.
+PartitionMap random_map(SplitMix64& rng, std::size_t entries,
+                        std::size_t replicas) {
+  auto map = PartitionMap::initial(
+      entries == 1 ? std::vector<ActorId>{10} : std::vector<ActorId>{10, 11});
+  if (entries >= 3) {
+    const PosRange upper = map.entries()[1].range;
+    map.split_entry(1, upper.lo + upper.width() / 2, 10);
+  }
+  while (map.size() < entries) {
+    std::size_t victim = rng.next_u64() % map.size();
+    while (map.entries()[victim].range.width() < 2) {
+      victim = (victim + 1) % map.size();
+    }
+    const PosRange r = map.entries()[victim].range;
+    map.split_entry(victim, r.lo + 1 + rng.next_u64() % (r.width() - 1),
+                    static_cast<ActorId>(10 + rng.next_u64() % 5));
+  }
+  for (std::size_t r = 0; r < replicas; ++r) {
+    map.add_replica(rng.next_u64() % map.size(),
+                    static_cast<ActorId>(20 + r));
+  }
+  return map;
+}
+
+TEST(DataSourceRoutingTest, MatchesTupleAtATimeRouter) {
+  constexpr std::uint64_t kRows = 12'000;
+  SplitMix64 rng(1904);
+  std::size_t entries = 1;  // cycles through 1..24 over the 24 cases
+  for (const bool probe : {false, true}) {
+    for (const std::uint32_t chunk : {1u, 3u, 1000u}) {
+      for (const std::uint32_t slice : {1u, 7u, 1000u, 10'000u}) {
+        SCOPED_TRACE(::testing::Message()
+                     << (probe ? "probe" : "build") << " chunk=" << chunk
+                     << " slice=" << slice << " entries=" << entries);
+        const PartitionMap first = random_map(rng, entries, probe ? 3 : 1);
+        entries = entries % 24 + 1;
+        // The mid-stream update moves an entry's active owner (build) or
+        // widens its broadcast (probe).
+        PartitionMap second = first;
+        second.add_replica(rng.next_u64() % second.size(), 99);
+
+        Fixture fx(kRows, chunk);
+        fx.config->generation_slice_tuples = slice;
+        if (probe) {
+          StartProbePayload start;
+          start.map = first;
+          fx.rt->deliver(fx.source, make_message(Tag::kStartProbe, start, 100));
+        } else {
+          fx.start_build(first);
+        }
+        const std::size_t slices = (kRows + slice - 1) / slice;
+        const std::size_t before_update = slices / 2;
+        fx.run_slices(before_update);
+        MapUpdatePayload update;
+        update.version = 1;
+        update.map = second;
+        fx.rt->deliver(fx.source, make_message(Tag::kMapUpdate, update, 100));
+        fx.run_slices(slices);
+
+        const RelationSpec& spec =
+            probe ? fx.config->probe_rel : fx.config->build_rel;
+        TupleStream stream(spec, fx.config->seed, 0, 1);
+        OracleRouter oracle(chunk);
+        TupleBatch rows;
+        Tuple t;
+        for (std::size_t s = 0;; ++s) {
+          rows.clear();
+          while (rows.size() < slice && stream.next(t)) rows.append(t.id, t.key);
+          if (rows.empty()) break;
+          oracle.route(s < before_update ? first : second, rows, spec.tag,
+                       probe);
+        }
+        oracle.flush_all();
+
+        const auto sent = fx.rt->sent_with_tag(Tag::kDataChunk);
+        ASSERT_EQ(sent.size(), oracle.sent.size());
+        for (std::size_t i = 0; i < sent.size(); ++i) {
+          const auto& got = sent[i].msg.as<ChunkPayload>();
+          const Chunk& want = oracle.sent[i].second;
+          ASSERT_EQ(sent[i].to, oracle.sent[i].first) << "chunk " << i;
+          ASSERT_EQ(got.chunk.rel, want.rel) << "chunk " << i;
+          ASSERT_EQ(got.epoch, 0u) << "chunk " << i;
+          ASSERT_EQ(got.chunk.batch.ids(), want.batch.ids()) << "chunk " << i;
+          ASSERT_EQ(got.chunk.batch.keys(), want.batch.keys()) << "chunk " << i;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <vector>
 
 #include "hash/hash_family.hpp"
@@ -161,10 +162,31 @@ TEST(PartitionMapTest, ReplaceEntrySubdivides) {
 }
 
 TEST(PartitionMapTest, IndexForBoundaries) {
-  const auto map = PartitionMap::initial({1, 2, 3, 4});
-  for (std::size_t i = 0; i < map.size(); ++i) {
-    EXPECT_EQ(map.index_for(map.entries()[i].range.lo), i);
-    EXPECT_EQ(map.index_for(map.entries()[i].range.hi - 1), i);
+  // Maps of 1..33 entries grown by random splits; every entry's first and
+  // last position, and the position just below it, against a linear scan.
+  SplitMix64 rng(19);
+  auto map = PartitionMap::initial({1});
+  for (ActorId owner = 2; map.size() <= 33; ++owner) {
+    const auto linear = [&map](std::uint64_t pos) {
+      std::size_t i = 0;
+      while (!map.entries()[i].range.contains(pos)) ++i;
+      return i;
+    };
+    for (const PartitionMap::Entry& e : map.entries()) {
+      for (const std::uint64_t pos : {e.range.lo, e.range.hi - 1}) {
+        EXPECT_EQ(map.index_for(pos), linear(pos)) << map.size();
+      }
+      if (e.range.lo > 0) {
+        EXPECT_EQ(map.index_for(e.range.lo - 1), linear(e.range.lo - 1));
+      }
+    }
+    std::size_t victim = rng.next_u64() % map.size();
+    while (map.entries()[victim].range.width() < 2) {
+      victim = (victim + 1) % map.size();
+    }
+    const PosRange r = map.entries()[victim].range;
+    map.split_entry(victim, r.lo + 1 + rng.next_u64() % (r.width() - 1),
+                    owner);
   }
 }
 
@@ -282,7 +304,8 @@ TEST(LocalHashTableTest, HistogramCountsEntries) {
 // the same extracted tuples in the same order.  The fuzz drives two tables
 // through random interleavings of batch inserts, probes, and extract_range
 // surgery (which invalidates the lazy key index) over random ranges and
-// both uniform and heavily skewed position distributions.
+// both uniform and heavily skewed position distributions.  A shadow list
+// of the live rows in insertion order pins what extraction returns.
 
 /// Random batch whose positions all lie in `range`; `hot_positions` > 0
 /// concentrates all rows onto that many distinct positions (skew), and a
@@ -316,6 +339,7 @@ TEST(BatchEquivalenceFuzz, InsertProbeExtractInterleavings) {
     const Schema schema{100};
     LocalHashTable scalar_table(schema, range);
     LocalHashTable batched_table(schema, range);
+    std::vector<Tuple> shadow;  // live rows, in insertion order
     const std::size_t hot = (round % 3 == 0) ? 1 + rng.next_u64() % 5 : 0;
 
     for (int step = 0; step < 12; ++step) {
@@ -325,6 +349,7 @@ TEST(BatchEquivalenceFuzz, InsertProbeExtractInterleavings) {
             random_batch(rng, range, 1 + rng.next_u64() % 500, hot);
         for (std::size_t i = 0; i < batch.size(); ++i) {
           scalar_table.insert(batch.tuple(i));
+          shadow.push_back(batch.tuple(i));
         }
         batched_table.insert_batch(batch);
       } else if (op == 2) {  // probe batch
@@ -347,8 +372,26 @@ TEST(BatchEquivalenceFuzz, InsertProbeExtractInterleavings) {
         const std::uint64_t a = lo + rng.next_u64() % width;
         const std::uint64_t b = lo + rng.next_u64() % width;
         const PosRange sub{std::min(a, b), std::max(a, b) + 1};
-        EXPECT_EQ(scalar_table.extract_range(sub),
-                  batched_table.extract_range(sub));
+        // Expected: the shadow's rows inside `sub`, stably sorted by
+        // position (ascending position, then insertion order).
+        const auto in_sub = [&sub](const Tuple& t) {
+          return sub.contains(position_of(t.key));
+        };
+        std::vector<Tuple> want;
+        std::copy_if(shadow.begin(), shadow.end(), std::back_inserter(want),
+                     in_sub);
+        std::stable_sort(want.begin(), want.end(),
+                         [](const Tuple& x, const Tuple& y) {
+                           return position_of(x.key) < position_of(y.key);
+                         });
+        shadow.erase(std::remove_if(shadow.begin(), shadow.end(), in_sub),
+                     shadow.end());
+        const TupleBatch got = batched_table.extract_range(sub);
+        EXPECT_EQ(got, TupleBatch::from_tuples(want));
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          ASSERT_EQ(got.position(i), position_of(got.key(i)));
+        }
+        EXPECT_EQ(scalar_table.extract_range(sub), got);
       }
       EXPECT_EQ(scalar_table.tuple_count(), batched_table.tuple_count());
       EXPECT_EQ(scalar_table.footprint_bytes(),

@@ -299,9 +299,10 @@ TEST(ServeForwardCompat, BadFrameGetsRejectAndServerSurvives) {
   EXPECT_EQ(result->checksum, oracle.checksum);
 }
 
-// A client-submitted chunk size whose frame could pass the body cap is a
-// kBadConfig reject at submit time: admitted, it would make a fleet worker
-// abort on the oversized frame and take the server down with it.
+// A client-submitted chunk size whose frame could pass the body cap, or a
+// generation slice too large to stage, is a kBadConfig reject at submit
+// time: admitted, it would make a fleet worker abort (on the oversized
+// frame, or out of memory) and take the server down with it.
 TEST(ServeForwardCompat, OversizedChunkGetsBadConfigAndServerSurvives) {
   serve::ServeOptions opts;
   opts.fleet_workers = 2;
@@ -317,6 +318,14 @@ TEST(ServeForwardCompat, OversizedChunkGetsBadConfigAndServerSurvives) {
   ASSERT_TRUE(reject.has_value());
   EXPECT_FALSE(reject->accepted);
   EXPECT_EQ(reject->reason, serve::RejectCode::kBadConfig);
+
+  EhjaConfig huge_slice = small_query(80);
+  huge_slice.generation_slice_tuples =
+      static_cast<std::uint32_t>(wire::kMaxFrameRows) + 1;
+  const auto slice_reject = client.submit(huge_slice);
+  ASSERT_TRUE(slice_reject.has_value());
+  EXPECT_FALSE(slice_reject->accepted);
+  EXPECT_EQ(slice_reject->reason, serve::RejectCode::kBadConfig);
 
   // The same connection is still served afterwards.
   const auto reply = client.submit_with_retry(small_query(79));

@@ -13,11 +13,16 @@
 // the per-connection sequence counter (fifo_accept), so any violation aborts
 // the worker, the coordinator sees an unexpected exit, and the test fails.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "core/driver.hpp"
+#include "core/messages.hpp"
+#include "net/framed_conn.hpp"
 #include "runtime/socket_runtime.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
@@ -70,6 +75,93 @@ TEST(FifoAccept, AcceptsExactlyTheNextSequence) {
   EXPECT_FALSE(fifo_accept(expected, 2));
   EXPECT_EQ(expected, 3u);
   EXPECT_TRUE(fifo_accept(expected, 3));
+}
+
+// ---------------------------------------------------------------------------
+// The early link flush.  A frame that brings a link's unsent bytes to the
+// threshold starts going out from inside route_to, behind what was queued
+// before it; a link that this flush finds broken is reported, once.
+
+/// A SocketLoop whose one peer link is a socketpair, driven by hand.
+class LinkProbe final : public SocketLoop {
+ public:
+  LinkProbe() : SocketLoop(0, 32) {
+    set_cluster(make_cluster(EhjaConfig{}));
+    int fds[2];
+    EHJA_CHECK(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) == 0);
+    conns_[1] = netio::adopt_fd(fds[0]);
+    conns_[1]->peer = 1;
+    peer = netio::adopt_fd(fds[1]);
+  }
+
+  ActorId spawn(NodeId /*node*/, std::unique_ptr<Actor> /*actor*/) override {
+    return kInvalidActor;
+  }
+  void send_to_peer(Message msg) { route_to(1, 7, 0, std::move(msg)); }
+  netio::Conn& link() { return *conns_[1]; }
+
+  std::unique_ptr<netio::Conn> peer;
+  int lost = 0;
+
+ private:
+  void on_control_frame(const wire::Frame& /*f*/) override {}
+  void on_unrouted_send(ActorId /*to*/, Message /*msg*/) override {}
+  void on_unhosted_receive(NodeId /*from*/, ActorId /*to*/,
+                           Message /*msg*/) override {}
+  void on_connection_lost(const netio::Conn& /*conn*/) override { ++lost; }
+};
+
+/// A data chunk of `rows` random rows: at about 18 bytes a row, 30k rows
+/// frame to twice the flush threshold.
+Message chunk_message(std::size_t rows) {
+  ChunkPayload payload;
+  SplitMix64 rng(rows);
+  for (std::size_t i = 0; i < rows; ++i) {
+    payload.chunk.batch.append(rng.next_u64(), rng.next_u64());
+  }
+  return make_message(Tag::kDataChunk, std::move(payload), 0);
+}
+
+TEST(EarlyLinkFlush, BulkFrameLeavesInsideTheHandlerInOrder) {
+  LinkProbe loop;
+  loop.send_to_peer(make_signal(Tag::kPing));
+  netio::read_available(*loop.peer);
+  EXPECT_TRUE(loop.peer->in.empty()) << "a control frame waits for pump()";
+
+  loop.send_to_peer(chunk_message(30'000));
+  netio::read_available(*loop.peer);
+  EXPECT_FALSE(loop.peer->in.empty()) << "the bulk frame waited for pump()";
+
+  while (loop.link().wants_write()) {
+    netio::flush_out(loop.link());
+    netio::read_available(*loop.peer);
+  }
+  netio::read_available(*loop.peer);
+  std::vector<Message> got;
+  wire::Frame f;
+  while (netio::next_frame(*loop.peer, f)) {
+    ASSERT_EQ(f.kind, wire::FrameKind::kActorMsg);
+    wire::Reader r(f.body);
+    EXPECT_EQ(r.zigzag(), 7);
+    const std::uint64_t seq = r.varint();
+    EXPECT_TRUE(fifo_accept(loop.peer->next_recv_seq, seq));
+    Message msg;
+    ASSERT_TRUE(wire::decode_message(r, msg));
+    got.push_back(std::move(msg));
+  }
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0].tag, static_cast<int>(Tag::kPing));
+  EXPECT_EQ(got[1].as<ChunkPayload>().chunk.size(), 30'000u);
+}
+
+TEST(EarlyLinkFlush, BrokenLinkIsReportedOnce) {
+  LinkProbe loop;
+  loop.peer.reset();  // the peer process is gone
+  loop.send_to_peer(chunk_message(30'000));
+  EXPECT_TRUE(loop.link().broken);
+  EXPECT_EQ(loop.lost, 1);
+  loop.send_to_peer(chunk_message(30'000));  // dropped: the link is unusable
+  EXPECT_EQ(loop.lost, 1);
 }
 
 // ---------------------------------------------------------------------------
