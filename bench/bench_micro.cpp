@@ -125,9 +125,9 @@ BENCHMARK(BM_ReshufflePlan)->Arg(4096)->Arg(1 << 20);
 
 void BM_SerialJoin(benchmark::State& state) {
   RelationSpec r_spec{RelTag::kR, 50000, Schema{100},
-                      DistributionSpec::SmallDomain(10000)};
+                      DistributionSpec::SmallDomain(10000), nullptr};
   RelationSpec s_spec{RelTag::kS, 50000, Schema{100},
-                      DistributionSpec::SmallDomain(10000)};
+                      DistributionSpec::SmallDomain(10000), nullptr};
   const Relation r = materialize(r_spec, 1, 1);
   const Relation s = materialize(s_spec, 1, 1);
   for (auto _ : state) {

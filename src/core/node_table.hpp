@@ -13,10 +13,12 @@
 //     linked in batch order, so the table equals the serial one bit for
 //     bit -- extract_range, migration, reshuffle and spill eviction see the
 //     same order at every thread count;
-//   * probe: ensure_index(), then each lane probes one row slice.  The
-//     per-lane results are summed and the per-lane captured rows
-//     concatenated in lane order, so the aggregate equals the serial result
-//     exactly and the captured run is deterministic.
+//   * probe: ensure_index() rebuilds the table's probe run if anything
+//     changed the table since the run was built, then each lane probes one
+//     row slice of the run, read-only.  The per-lane results are summed and the
+//     per-lane captured rows concatenated in lane order: the aggregate and
+//     the captured rows equal the serial probe's exactly -- probe rows in
+//     batch order, each row's matches in build insertion order.
 //
 // Everything else (extract_range, set_range, histogram) stays serial: it
 // runs in actor context with no parallel region in flight.
@@ -79,9 +81,8 @@ class NodeTable {
   }
 
   /// `sink`, when non-null, receives one Tuple{build_row_id, probe_row_id}
-  /// per match, in the same order at every thread count for a given batch
-  /// (a row's matches stay in that row's lane and lanes cover rows in
-  /// order).
+  /// per match, in the serial probe's order at every thread count (a row's
+  /// matches stay in that row's lane and lanes cover rows in order).
   BatchProbeResult probe_batch(const TupleBatch& batch,
                                std::vector<Tuple>* sink = nullptr) {
     const unsigned lanes = lanes_for(batch.size());

@@ -1,10 +1,10 @@
 #include "hash/local_hash_table.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "util/assert.hpp"
-#include "util/rng.hpp"
 
 #if defined(__GNUC__) || defined(__clang__)
 #define EHJA_PREFETCH(p) __builtin_prefetch(p)
@@ -18,28 +18,20 @@ namespace ehja {
 
 namespace {
 
-/// Comparisons a binary search over n sorted keys performs (ceil(log2)+1).
-/// This is the *modeled* probe cost of the 2004 structure; the actual
-/// lookup goes through the open-addressing key index.
-std::uint64_t search_comparisons(std::size_t n) {
-  std::uint64_t comparisons = 1;
-  while (n > 1) {
-    n >>= 1;
-    ++comparisons;
-  }
-  return comparisons;
+/// Comparisons a binary search over n >= 1 sorted keys performs
+/// (floor(log2 n) + 1).  This is the *modeled* probe cost of the 2004
+/// structure; the actual lookup scans or searches the position's run
+/// segment.
+std::uint64_t search_comparisons(std::uint32_t n) {
+  return static_cast<std::uint64_t>(std::bit_width(n));
 }
 
-std::size_t next_pow2(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
-/// How far ahead the batch loops prefetch the chain-head / index-slot
-/// cache lines.  Large tables make both arrays miss LLC on random access;
-/// a short software pipeline hides most of that latency.
+/// How far ahead the batch loops prefetch the chain heads (insert), the
+/// run offsets (run rebuild, probe) and, closer in, the run segment a
+/// probe row will read.  Large tables make these arrays miss LLC on random
+/// access; a short software pipeline hides most of that latency.
 constexpr std::size_t kPrefetchAhead = 16;
+constexpr std::size_t kSegmentAhead = 8;
 
 /// Abort unless every position of `batch` lies in `range`.  One branchless
 /// (vectorizable) scan at batch granularity, so the insert loops carry no
@@ -71,12 +63,12 @@ void LocalHashTable::insert(const Tuple& t) {
   EHJA_CHECK_MSG(range_.contains(pos), "insert outside owned range");
   ChainRef& c = chain(pos);
   const std::uint32_t e = static_cast<std::uint32_t>(slab_.size());
-  slab_.push_back(Entry{t.id, t.key, c.head, kNil});
+  slab_.push_back(Entry{t.id, t.key, c.head});
   c.head = e;
   ++c.count;
   ++tuple_count_;
   footprint_bytes_ += tuple_footprint(schema_);
-  if (index_built_) index_insert(e);
+  run_live_ = false;
 }
 
 void LocalHashTable::insert_batch(const TupleBatch& batch) {
@@ -85,47 +77,29 @@ void LocalHashTable::insert_batch(const TupleBatch& batch) {
   const std::uint64_t* keys = batch.keys().data();
   const std::uint64_t* ids = batch.ids().data();
   const std::uint32_t* positions = batch.positions().data();
-  check_positions(batch, range_);
   // Claim the whole slab segment up front: entry e for row i is base + i,
   // written through a raw pointer so the hot loop carries no capacity
   // checks.  Chain heads are touched with write-intent prefetch -- the
-  // random read-modify-write over chains_ is the loop's only miss.
-  const std::size_t base = slab_.size();
-  slab_.resize(base + n);
+  // random read-modify-write over chains_ is the loop's only miss.  Two
+  // straight-line stages per row and nothing else: the prefetched
+  // chain-head RMW and a sequential slab store.
+  const std::size_t base = claim(batch);
   Entry* slab = slab_.data();
   ChainRef* chains = chains_.data();
   const std::uint64_t lo = range_.lo;
-  if (!index_built_) {
-    // Common case: build phase, no key index to maintain.  Two straight-line
-    // stages per row and nothing else -- the prefetched chain-head RMW and a
-    // sequential slab store.
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC unroll 4
 #endif
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i + kPrefetchAhead < n) {
-        EHJA_PREFETCH_W(&chains[static_cast<std::size_t>(
-            positions[i + kPrefetchAhead] - lo)]);
-      }
-      ChainRef& c = chains[static_cast<std::size_t>(positions[i] - lo)];
-      const std::uint32_t e = static_cast<std::uint32_t>(base + i);
-      slab[e] = Entry{ids[i], keys[i], c.head, kNil};
-      c.head = e;
-      ++c.count;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i + kPrefetchAhead < n) {
+      EHJA_PREFETCH_W(&chains[static_cast<std::size_t>(
+          positions[i + kPrefetchAhead] - lo)]);
     }
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i + kPrefetchAhead < n) {
-        EHJA_PREFETCH_W(&chains[static_cast<std::size_t>(
-            positions[i + kPrefetchAhead] - lo)]);
-      }
-      ChainRef& c = chains[static_cast<std::size_t>(positions[i] - lo)];
-      const std::uint32_t e = static_cast<std::uint32_t>(base + i);
-      slab[e] = Entry{ids[i], keys[i], c.head, kNil};
-      c.head = e;
-      ++c.count;
-      index_insert(e);
-    }
+    ChainRef& c = chains[static_cast<std::size_t>(positions[i] - lo)];
+    const std::uint32_t e = static_cast<std::uint32_t>(base + i);
+    slab[e] = Entry{ids[i], keys[i], c.head};
+    c.head = e;
+    ++c.count;
   }
   commit(batch);
 }
@@ -134,8 +108,7 @@ std::size_t LocalHashTable::claim(const TupleBatch& batch) {
   check_positions(batch, range_);
   const std::size_t base = slab_.size();
   slab_.resize(base + batch.size());
-  // link() does not maintain the index; the next probe rebuilds it.
-  index_built_ = false;
+  run_live_ = false;
   return base;
 }
 
@@ -174,7 +147,7 @@ void LocalHashTable::link(const TupleBatch& batch, std::size_t base,
       const std::size_t i = own[j];
       ChainRef& c = chains[static_cast<std::size_t>(positions[i] - lo)];
       const std::uint32_t e = static_cast<std::uint32_t>(base + i);
-      slab[e] = Entry{ids[i], keys[i], c.head, kNil};
+      slab[e] = Entry{ids[i], keys[i], c.head};
       c.head = e;
       ++c.count;
     }
@@ -191,28 +164,14 @@ LocalHashTable::ProbeResult LocalHashTable::probe(const Tuple& s,
                                                   std::vector<Tuple>* sink) {
   const std::uint64_t pos = position_of(s.key);
   EHJA_CHECK_MSG(range_.contains(pos), "probe outside owned range");
-  const ChainRef& c = chain(pos);
-  ProbeResult result;
-  if (c.count == 0) {
-    result.comparisons = 1;
-    return result;
-  }
   ensure_index();
-  result.comparisons = search_comparisons(c.count);
-  for (std::uint32_t e = index_find(s.key); e != kNil; e = slab_[e].key_next) {
-    ++result.matches;
-    ++result.comparisons;
-    result.checksum_delta += match_signature(slab_[e].id, s.id);
-    if (sink) sink->push_back(Tuple{slab_[e].id, s.id});
-  }
-  return result;
+  return probe_position(static_cast<std::size_t>(pos - range_.lo), s.key,
+                        s.id, sink);
 }
 
 LocalHashTable::BatchProbeResult LocalHashTable::probe_batch(
     const TupleBatch& batch, std::vector<Tuple>* sink) {
   if (batch.size() == 0) return BatchProbeResult{};
-  // Any non-empty chain needs the index; building once up front performs
-  // the same lookups the scalar path would (build timing is unobservable).
   ensure_index();
   return probe_rows(batch, 0, batch.size(), sink);
 }
@@ -221,103 +180,125 @@ LocalHashTable::BatchProbeResult LocalHashTable::probe_rows(
     const TupleBatch& batch, std::size_t begin, std::size_t end,
     std::vector<Tuple>* sink) const {
   EHJA_CHECK(begin <= end && end <= batch.size());
-  EHJA_CHECK_MSG(index_built_ || tuple_count_ == 0,
-                 "probe_rows without ensure_index");
+  EHJA_CHECK_MSG(run_live_, "probe_rows without ensure_index");
   BatchProbeResult agg;
   agg.probed = end - begin;
   const std::uint64_t* keys = batch.keys().data();
   const std::uint64_t* ids = batch.ids().data();
   const std::uint32_t* positions = batch.positions().data();
+  const std::uint32_t* offsets = offsets_.get();
+  const RunRow* run = run_.data();
+  const std::uint64_t lo = range_.lo;
+  const std::uint64_t width = range_.width();
   for (std::size_t i = begin; i < end; ++i) {
+    // Two-stage pipeline: a row's offset cell is fetched kPrefetchAhead
+    // rows ahead, and by kSegmentAhead rows ahead it is cached, so the
+    // start of the row's segment can be fetched too.
     if (i + kPrefetchAhead < end) {
-      const std::uint64_t ahead = positions[i + kPrefetchAhead];
-      if (range_.contains(ahead)) {
-        EHJA_PREFETCH(&chains_[static_cast<std::size_t>(ahead - range_.lo)]);
-      }
-      if (index_built_) {
-        EHJA_PREFETCH(
-            &index_slots_[SplitMix64::mix(keys[i + kPrefetchAhead]) &
-                          index_mask_]);
-      }
+      const std::uint64_t p = positions[i + kPrefetchAhead] - lo;
+      if (p < width) EHJA_PREFETCH(&offsets[p]);
     }
-    const std::uint64_t pos = positions[i];
-    EHJA_CHECK_MSG(range_.contains(pos), "probe outside owned range");
-    const ChainRef& c = chain(pos);
-    if (c.count == 0) {
-      agg.comparisons += 1;
-      continue;
+    if (i + kSegmentAhead < end) {
+      const std::uint64_t p = positions[i + kSegmentAhead] - lo;
+      if (p < width) EHJA_PREFETCH(run + offsets[p]);
     }
-    agg.comparisons += search_comparisons(c.count);
-    for (std::uint32_t e = index_find(keys[i]); e != kNil;
-         e = slab_[e].key_next) {
-      ++agg.matches;
-      ++agg.comparisons;
-      agg.checksum_delta += match_signature(slab_[e].id, ids[i]);
-      if (sink) sink->push_back(Tuple{slab_[e].id, ids[i]});
-    }
+    const std::uint64_t p = positions[i] - lo;
+    EHJA_CHECK_MSG(p < width, "probe outside owned range");
+    const ProbeResult r =
+        probe_position(static_cast<std::size_t>(p), keys[i], ids[i], sink);
+    agg.matches += r.matches;
+    agg.comparisons += r.comparisons;
+    agg.checksum_delta += r.checksum_delta;
   }
   return agg;
 }
 
+LocalHashTable::ProbeResult LocalHashTable::probe_position(
+    std::size_t p, std::uint64_t key, std::uint64_t id,
+    std::vector<Tuple>* sink) const {
+  ProbeResult result;
+  const std::uint32_t n = offsets_[p + 1] - offsets_[p];
+  if (n == 0) {
+    result.comparisons = 1;
+    return result;
+  }
+  result.comparisons = search_comparisons(n);
+  const RunRow* row = run_.data() + offsets_[p];
+  const RunRow* const stop = row + n;
+  const auto emit = [&](const RunRow& r) {
+    ++result.matches;
+    ++result.comparisons;
+    result.checksum_delta += match_signature(r.id, id);
+    if (sink) sink->push_back(Tuple{r.id, id});
+  };
+  if (n <= kScanRows) {
+    for (; row != stop; ++row) {
+      if (row->key == key) emit(*row);
+    }
+    return result;
+  }
+  row = std::lower_bound(
+      row, stop, key,
+      [](const RunRow& r, std::uint64_t k) { return r.key < k; });
+  for (; row != stop && row->key == key; ++row) emit(*row);
+  return result;
+}
+
 void LocalHashTable::ensure_index() {
-  if (index_built_ || tuple_count_ == 0) return;
-  rebuild_index();
-  index_built_ = true;
+  if (run_live_) return;
+  rebuild_run();
+  run_live_ = true;
 }
 
-void LocalHashTable::rebuild_index() {
-  index_keys_ = 0;
-  const std::size_t slots = next_pow2(std::max<std::size_t>(
-      64, static_cast<std::size_t>(tuple_count_) * 2));
-  index_slots_.assign(slots, kNil);
-  index_mask_ = slots - 1;
-  for (const ChainRef& c : chains_) {
-    for (std::uint32_t e = c.head; e != kNil; e = slab_[e].chain_next) {
-      index_insert(e);
-    }
+void LocalHashTable::rebuild_run() {
+  // Prefix pass: offsets_[p] becomes the end of position p's segment, and
+  // positions too long to scan are listed for sorting.
+  const std::size_t width = chains_.size();
+  if (offset_cells_ != width + 1) {
+    offsets_ = std::make_unique_for_overwrite<std::uint32_t[]>(width + 1);
+    offset_cells_ = width + 1;
   }
-}
-
-void LocalHashTable::index_insert(std::uint32_t e) {
-  // Grow ahead of a distinct-key insert so the load factor stays <= 1/2.
-  if ((index_keys_ + 1) * 2 > index_slots_.size()) {
-    std::vector<std::uint32_t> old = std::move(index_slots_);
-    const std::size_t slots = std::max<std::size_t>(64, old.size() * 2);
-    index_slots_.assign(slots, kNil);
-    index_mask_ = slots - 1;
-    for (std::uint32_t head : old) {
-      if (head == kNil) continue;
-      std::size_t s = SplitMix64::mix(slab_[head].key) & index_mask_;
-      while (index_slots_[s] != kNil) s = (s + 1) & index_mask_;
-      index_slots_[s] = head;
-    }
+  std::uint32_t* offsets = offsets_.get();
+  std::vector<std::uint32_t> long_positions;
+  std::uint32_t total = 0;
+  for (std::size_t p = 0; p < width; ++p) {
+    const std::uint32_t n = chains_[p].count;
+    total += n;
+    offsets[p] = total;
+    if (n > kScanRows) long_positions.push_back(static_cast<std::uint32_t>(p));
   }
-  const std::uint64_t key = slab_[e].key;
-  std::size_t s = SplitMix64::mix(key) & index_mask_;
-  while (true) {
-    const std::uint32_t cur = index_slots_[s];
-    if (cur == kNil) {
-      slab_[e].key_next = kNil;
-      index_slots_[s] = e;
-      ++index_keys_;
-      return;
+  offsets[width] = total;
+  run_.resize(total);
+  // Slab pass, newest entry first: each live row takes the last free cell
+  // of its position's segment, so a segment fills back to front, ends in
+  // insertion order, and leaves offsets_[p] at its start.  The same
+  // two-stage prefetch as the probe, twice as deep: a row here costs less
+  // than a probe row.
+  const Entry* slab = slab_.data();
+  RunRow* run = run_.data();
+  const std::uint64_t lo = range_.lo;
+  for (std::size_t e = slab_.size(); e-- > 0;) {
+    if (e >= 2 * kPrefetchAhead) {
+      const std::uint64_t p =
+          position_of(slab[e - 2 * kPrefetchAhead].key) - lo;
+      if (p < width) EHJA_PREFETCH_W(&offsets[p]);
     }
-    if (slab_[cur].key == key) {
-      slab_[e].key_next = cur;
-      index_slots_[s] = e;
-      return;
+    if (e >= 2 * kSegmentAhead) {
+      const std::uint64_t p = position_of(slab[e - 2 * kSegmentAhead].key) - lo;
+      if (p < width && offsets[p] != 0) EHJA_PREFETCH_W(run + offsets[p] - 1);
     }
-    s = (s + 1) & index_mask_;
+    const Entry& entry = slab[e];
+    if (entry.chain_next == kUnlinked) continue;
+    const std::size_t p = static_cast<std::size_t>(position_of(entry.key) - lo);
+    run[--offsets[p]] = RunRow{entry.key, entry.id};
   }
-}
-
-std::uint32_t LocalHashTable::index_find(std::uint64_t key) const {
-  std::size_t s = SplitMix64::mix(key) & index_mask_;
-  while (true) {
-    const std::uint32_t e = index_slots_[s];
-    if (e == kNil) return kNil;
-    if (slab_[e].key == key) return e;
-    s = (s + 1) & index_mask_;
+  // Long segments are binary-searched; the stable sort keeps equal keys in
+  // insertion order.
+  for (const std::uint32_t p : long_positions) {
+    std::stable_sort(run + offsets[p], run + offsets[p + 1],
+                     [](const RunRow& x, const RunRow& y) {
+                       return x.key < y.key;
+                     });
   }
 }
 
@@ -331,7 +312,7 @@ TupleBatch LocalHashTable::extract_range(const PosRange& sub) {
   if (rows == 0) return extracted;
   const TupleBatch::Columns out =
       extracted.append_rows(static_cast<std::size_t>(rows));
-  const Entry* slab = slab_.data();
+  Entry* slab = slab_.data();
   std::size_t end = 0;  // one past the current chain's segment
   for (std::size_t p = 0; p < width; ++p) {
     if (p + kPrefetchAhead < width && chains[p + kPrefetchAhead].count != 0) {
@@ -344,19 +325,20 @@ TupleBatch LocalHashTable::extract_range(const PosRange& sub) {
     end += c.count;
     std::size_t j = end;
     const auto pos = static_cast<std::uint32_t>(sub.lo + p);
-    for (std::uint32_t e = c.head; e != kNil; e = slab[e].chain_next) {
+    for (std::uint32_t e = c.head; e != kNil;) {
       --j;
       out.ids[j] = slab[e].id;
       out.keys[j] = slab[e].key;
       out.positions[j] = pos;
+      // Removed entries stay in the slab; the mark keeps them out of the
+      // next run.
+      e = std::exchange(slab[e].chain_next, kUnlinked);
     }
     c = ChainRef{};
   }
   tuple_count_ -= rows;
   footprint_bytes_ -= rows * tuple_footprint(schema_);
-  // Removed entries stay in the slab but leave the chains; the index would
-  // keep resolving them, so it must be rebuilt before the next probe.
-  index_built_ = false;
+  run_live_ = false;
   return extracted;
 }
 
@@ -375,8 +357,7 @@ void LocalHashTable::set_range(const PosRange& next) {
   EHJA_CHECK(retained == tuple_count_);
   range_ = next;
   chains_ = std::move(fresh);
-  // Every retained entry survived, so the key index (keyed by join
-  // attribute, not position) remains valid.
+  run_live_ = false;  // the offsets are relative to the old range
 }
 
 PositionHistogram LocalHashTable::histogram() const {

@@ -11,23 +11,32 @@
 // paper measures.)
 //
 // Storage is a flat entry slab with per-position chain heads (one 8-byte
-// ChainRef per owned position) -- no per-chain allocations.  Exact-key
-// lookup goes through a table-wide open-addressing index over the join
-// attribute, built lazily at the first probe and maintained incrementally
-// by later inserts (the dynamic hybrid-hash spiller interleaves the two);
-// range surgery that removes entries (extract_range) invalidates the index
-// and the next probe rebuilds it from the chains.  This replaces the
-// earlier per-chain lazy sort.  ProbeResult::comparisons still reports what
-// the modeled 2004 structure pays -- a binary search over the position's
-// chain plus one comparison per match -- which the caller charges to the
-// cost model; the index is the lookup mechanism, not the cost model.
+// ChainRef per owned position) -- no per-chain allocations.  Build inserts
+// only push onto the chains; extraction, the histogram and range surgery
+// walk them.
+//
+// Probes read a *probe run* instead: the live rows as (key, id) pairs laid
+// out contiguously per position, located through one per-position offset
+// array.  Any insert, insert_batch, claim, extract_range or set_range makes
+// the run stale, and the next probe (or ensure_index) rebuilds it: one
+// prefix pass over the chain counts into the offset array, which the table
+// keeps and reuses, plus one sequential pass over the slab that fills each
+// position back to front and skips the entries extract_range unlinked.  A
+// position holding more than kScanRows rows (skew) is stably sorted by key
+// and binary-searched; a shorter one keeps insertion order and is scanned
+// whole.  Either way a probe row's matches come out in build insertion
+// order.  ProbeResult::comparisons still reports what the modeled 2004
+// structure pays -- a binary search over the position's rows plus one
+// comparison per match -- which the caller charges to the cost model; the
+// run is the lookup mechanism, not the cost model.
 //
 // The batch interface (insert_batch / probe_batch) consumes columnar
 // TupleBatches: positions come from the batch's precomputed hash column and
-// the loops prefetch the chain-head and index cache lines a few rows ahead,
-// which is where the bulk path's throughput over tuple-at-a-time calls
-// comes from.  Results are bit-identical to the scalar calls
-// (tests/test_hash.cpp fuzzes the equivalence).
+// the loops prefetch a few rows ahead -- chain heads when inserting, run
+// offsets and segments when probing -- which is where the bulk path's
+// throughput over tuple-at-a-time calls comes from.  Results are
+// bit-identical to the scalar calls (tests/test_hash.cpp fuzzes the
+// equivalence).
 //
 // The same batch calls come in a form intra-node lanes can share
 // (core/node_table.hpp, DESIGN.md §11): claim / link / commit split
@@ -55,6 +64,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "hash/hash_family.hpp"
@@ -83,13 +93,13 @@ class LocalHashTable {
 
   /// insert_batch in three steps, for lanes that split the work.  claim()
   /// validates the batch's positions, appends its slab segment (row i
-  /// becomes entry base + i; the returned value is base) and drops the key
-  /// index, which the next probe rebuilds.  link() threads the rows whose
-  /// position lies in `sub` onto their chains, in row order; calls with
-  /// disjoint `sub`s write disjoint chains and slab entries, so they may
-  /// run concurrently.  commit() adds the batch to the counters.  Once
-  /// links covering range() are done, chains and slab equal what
-  /// insert_batch(batch) would have built.
+  /// becomes entry base + i; the returned value is base) and makes the
+  /// probe run stale.  link() threads the rows whose position lies in
+  /// `sub` onto their chains, in row order; calls with disjoint `sub`s
+  /// write disjoint chains and slab entries, so they may run concurrently.
+  /// commit() adds the batch to the counters.  Once links covering
+  /// range() are done, chains and slab equal what insert_batch(batch)
+  /// would have built.
   std::size_t claim(const TupleBatch& batch);
   void link(const TupleBatch& batch, std::size_t base, const PosRange& sub);
   void commit(const TupleBatch& batch);
@@ -109,11 +119,11 @@ class LocalHashTable {
     std::uint64_t checksum_delta = 0;
   };
 
-  /// Probe with one tuple of the second relation.  (Lazily builds the key
-  /// index, hence non-const.)  When `sink` is non-null every match appends
-  /// one Tuple{build_row_id, probe_row_id} -- exactly one append per
-  /// checksum_delta contribution, so the captured multiset always equals
-  /// the counted result.
+  /// Probe with one tuple of the second relation.  (Rebuilds a stale probe
+  /// run, hence non-const.)  When `sink` is non-null every match appends
+  /// one Tuple{build_row_id, probe_row_id}, in build insertion order --
+  /// exactly one append per checksum_delta contribution, so the captured
+  /// rows always equal the counted result.
   ProbeResult probe(const Tuple& s, std::vector<Tuple>* sink = nullptr);
 
   /// Bulk probe with every tuple of `batch` (same sink contract as probe):
@@ -121,12 +131,13 @@ class LocalHashTable {
   BatchProbeResult probe_batch(const TupleBatch& batch,
                                std::vector<Tuple>* sink = nullptr);
 
-  /// Build the key index unless it is live or the table is empty.
+  /// Rebuild the probe run if anything changed the table since it was
+  /// built.
   void ensure_index();
 
   /// Probe rows [begin, end) of `batch`; requires ensure_index() since the
-  /// last insert or removal.  Const, so lanes may probe disjoint row slices
-  /// concurrently, each with its own sink.
+  /// last change to the table.  Const, so lanes may probe disjoint row
+  /// slices concurrently, each with its own sink.
   BatchProbeResult probe_rows(const TupleBatch& batch, std::size_t begin,
                               std::size_t end,
                               std::vector<Tuple>* sink = nullptr) const;
@@ -146,21 +157,32 @@ class LocalHashTable {
 
  private:
   static constexpr std::uint32_t kNil = 0xffffffffu;
+  /// chain_next of an entry extract_range unlinked; the run skips it.
+  static constexpr std::uint32_t kUnlinked = 0xfffffffeu;
+  /// Longest position segment probed by a whole scan; longer ones are
+  /// sorted by key and binary-searched.
+  static constexpr std::uint32_t kScanRows = 16;
 
-  /// One stored tuple plus its two intrusive links: the per-position chain
-  /// (newest first) and the index's same-key list.  The no-op default
-  /// constructor keeps vector::resize from zero-filling slab segments the
-  /// bulk insert is about to overwrite anyway.
+  /// One stored tuple plus its per-position chain link (newest first).
+  /// The no-op default constructor keeps vector::resize from zero-filling
+  /// slab segments the bulk insert is about to overwrite anyway.
   struct Entry {
     std::uint64_t id;
     std::uint64_t key;
     std::uint32_t chain_next;
-    std::uint32_t key_next;
 
     Entry() {}  // intentionally uninitialized
-    Entry(std::uint64_t id_, std::uint64_t key_, std::uint32_t chain_next_,
-          std::uint32_t key_next_)
-        : id(id_), key(key_), chain_next(chain_next_), key_next(key_next_) {}
+    Entry(std::uint64_t id_, std::uint64_t key_, std::uint32_t chain_next_)
+        : id(id_), key(key_), chain_next(chain_next_) {}
+  };
+
+  /// One live row of the probe run (uninitialized by default, like Entry).
+  struct RunRow {
+    std::uint64_t key;
+    std::uint64_t id;
+
+    RunRow() {}
+    RunRow(std::uint64_t key_, std::uint64_t id_) : key(key_), id(id_) {}
   };
 
   struct ChainRef {
@@ -175,11 +197,11 @@ class LocalHashTable {
     return chains_[static_cast<std::size_t>(pos - range_.lo)];
   }
 
-  void rebuild_index();
-  /// Link slab entry `e` into the index, growing the slot array as needed.
-  void index_insert(std::uint32_t e);
-  /// Head of the same-key list for `key`, or kNil.
-  std::uint32_t index_find(std::uint64_t key) const;
+  void rebuild_run();
+  /// Probe the run segment of position `p` (relative to range_.lo) with
+  /// one row.
+  ProbeResult probe_position(std::size_t p, std::uint64_t key,
+                             std::uint64_t id, std::vector<Tuple>* sink) const;
 
   Schema schema_;
   PosRange range_;
@@ -187,11 +209,13 @@ class LocalHashTable {
   std::uint64_t footprint_bytes_ = 0;
   std::vector<Entry> slab_;       // unlinked entries stay
   std::vector<ChainRef> chains_;  // one per owned position
-  // Open-addressing key index: slot -> head entry of a same-key list.
-  std::vector<std::uint32_t> index_slots_;  // power-of-two size
-  std::size_t index_mask_ = 0;
-  std::uint64_t index_keys_ = 0;  // distinct keys indexed (load factor)
-  bool index_built_ = false;
+  // The probe run: position p's live rows are run_[offsets_[p],
+  // offsets_[p + 1]).  offsets_ has one more cell than chains_, and is
+  // left uninitialized when allocated: every rebuild writes every cell.
+  std::unique_ptr<std::uint32_t[]> offsets_;
+  std::size_t offset_cells_ = 0;
+  std::vector<RunRow> run_;
+  bool run_live_ = false;
 };
 
 }  // namespace ehja

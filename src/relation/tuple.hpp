@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <ostream>
 
 #include "util/assert.hpp"
 #include "util/rng.hpp"
@@ -25,6 +26,10 @@ struct Tuple {
   std::uint64_t key = 0;  // join attribute
 
   friend bool operator==(const Tuple&, const Tuple&) = default;
+  /// "(id, key)" -- also how gtest prints tuples and TupleBatch rows.
+  friend std::ostream& operator<<(std::ostream& os, const Tuple& t) {
+    return os << '(' << t.id << ", " << t.key << ')';
+  }
 };
 
 struct Schema {

@@ -9,7 +9,7 @@
 //     LocalHashTable across uniform, small-domain and zipf-skewed key
 //     distributions, interleaving inserts, probes and range extraction,
 //     with extraction order required to match exactly, and the lane merge
-//     of probe results (sums, captured rows in probe-row order) likewise;
+//     of probe results (sums, captured rows in the same order) likewise;
 //   * raw stress -- LocalHashTable's link and probe_rows driven by bare
 //     std::threads so TSan sees the unwrapped access pattern.
 //
@@ -198,19 +198,12 @@ std::vector<std::uint64_t> probe_ids(const std::vector<Tuple>& rows) {
   return ids;
 }
 
-void sort_rows(std::vector<Tuple>& rows) {
-  std::sort(rows.begin(), rows.end(), [](const Tuple& x, const Tuple& y) {
-    return x.id != y.id ? x.id < y.id : x.key < y.key;
-  });
-}
-
 /// NodeTable's probe merges its lanes' results: sums added, captured rows
 /// concatenated in lane order.  Against the serial oracle the merge must
-/// give the same aggregates and the same rows in probe-row order.  (Within
-/// one probe row the matches follow each table's key index, which the
-/// oracle maintains incrementally and a lane-built table rebuilds, so that
-/// order may differ.)  Probe sizes straddle the fan-out cutoff, and inserts
-/// land after probes, so the index is both extended and rebuilt.
+/// give the same aggregates and exactly the same rows: probe-row order,
+/// and within one probe row the build insertion order both tables' probe
+/// runs give.  Probe sizes straddle the fan-out cutoff, and inserts land
+/// after probes, so both runs go stale and are rebuilt.
 void run_merge_differential(std::uint32_t threads, Shape shape,
                             std::uint64_t seed) {
   SplitMix64 rng(seed);
@@ -237,8 +230,6 @@ void run_merge_differential(std::uint32_t threads, Shape shape,
       EXPECT_EQ(got.comparisons, want.comparisons);
       EXPECT_EQ(got.checksum_delta, want.checksum_delta);
       EXPECT_EQ(probe_ids(got_rows), probe_ids(want_rows));
-      sort_rows(got_rows);
-      sort_rows(want_rows);
       EXPECT_EQ(got_rows, want_rows);
     }
   }
@@ -334,10 +325,8 @@ TEST(ConcurrentStress, ParallelInsertMatchesSerial) {
     EXPECT_EQ(got.matches, want.matches);
     EXPECT_EQ(got.comparisons, want.comparisons);
     EXPECT_EQ(got.checksum_delta, want.checksum_delta);
-    // Same matches; their order within one probe row follows each table's
-    // key index, which the oracle maintains incrementally.
-    sort_rows(got_rows);
-    sort_rows(want_rows);
+    // Same matches in the same order: probe rows in lane order, each
+    // row's matches in build insertion order.
     EXPECT_EQ(got_rows, want_rows);
     EXPECT_EQ(table.tuple_count(), oracle.tuple_count());
     EXPECT_EQ(table.footprint_bytes(), oracle.footprint_bytes());

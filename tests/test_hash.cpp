@@ -1,11 +1,16 @@
 // Unit tests for the hash module: position map, linear hashing invariants,
-// partition maps, and the local hash table's accounting and range surgery.
+// partition maps, and the local hash table's accounting, range surgery and
+// probe run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <iterator>
+#include <memory>
+#include <unordered_map>
 #include <vector>
 
+#include "core/node_table.hpp"
 #include "hash/hash_family.hpp"
 #include "hash/local_hash_table.hpp"
 #include "hash/partition_map.hpp"
@@ -398,6 +403,209 @@ TEST(BatchEquivalenceFuzz, InsertProbeExtractInterleavings) {
                 batched_table.footprint_bytes());
     }
   }
+}
+
+// ------------------------------------------------------ probe run oracle
+//
+// The probe run against a shadow list of the live rows in insertion order.
+// Per probe row the matches must be the shadow's rows with the probe key,
+// in insertion order, with their checksum and the modeled comparisons: a
+// binary search over the rows at the key's position (std::bit_width(n)
+// comparisons, or 1 at an empty position) plus one per match.  One
+// LocalHashTable (probed per row and per batch) and NodeTables at 1, 2 and
+// 4 lanes go through the same steps: probes of an empty table, then
+// probes after inserts, an extract_range and a set_range on a table that
+// was already probed, so every step finds the run stale.
+
+struct RunOracle {
+  std::vector<Tuple> live;  // insertion order
+
+  void insert(const TupleBatch& batch) {
+    for (const Tuple& t : batch) live.push_back(t);
+  }
+
+  struct Expected {
+    std::vector<Tuple> rows;  // {build id, probe id}, probe row by probe row
+    std::vector<LocalHashTable::ProbeResult> per_row;
+    LocalHashTable::BatchProbeResult total;
+  };
+
+  Expected probe(const TupleBatch& batch) const {
+    std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> ids_of;
+    std::unordered_map<std::uint64_t, std::uint64_t> rows_at;
+    for (const Tuple& r : live) {
+      ids_of[r.key].push_back(r.id);
+      ++rows_at[position_of(r.key)];
+    }
+    Expected want;
+    want.total.probed = batch.size();
+    for (const Tuple& s : batch) {
+      LocalHashTable::ProbeResult row;
+      const auto at = rows_at.find(position_of(s.key));
+      row.comparisons = at == rows_at.end() ? 1 : std::bit_width(at->second);
+      if (const auto it = ids_of.find(s.key); it != ids_of.end()) {
+        for (const std::uint64_t id : it->second) {
+          ++row.matches;
+          ++row.comparisons;
+          row.checksum_delta += match_signature(id, s.id);
+          want.rows.push_back(Tuple{id, s.id});
+        }
+      }
+      want.total.matches += row.matches;
+      want.total.comparisons += row.comparisons;
+      want.total.checksum_delta += row.checksum_delta;
+      want.per_row.push_back(row);
+    }
+    return want;
+  }
+};
+
+/// Positions of the oracle's build rows, relative to the range start: a
+/// few hot ones that grow segments of hundreds of rows, a warm block whose
+/// segments cross the 16-row scan limit as batches land, and the rest.
+constexpr std::uint64_t kHot[] = {7, 100, 2000};
+constexpr std::uint64_t kWarm = 256;
+
+/// Build rows with fresh ids.  Hot positions draw from 40 low-bit values
+/// and often repeat the previous row's key (runs of duplicates); other
+/// positions draw from 3 (short segments with equal and distinct keys).
+TupleBatch run_build_rows(SplitMix64& rng, const PosRange& range,
+                          std::size_t rows, std::uint64_t& next_id) {
+  TupleBatch batch;
+  std::uint64_t last_hot_key = 0;
+  for (std::size_t i = 0; i < rows; ++i) {
+    const std::uint64_t pick = rng.next_u64() % 6;
+    std::uint64_t key = 0;
+    if (pick < 2) {
+      const std::uint64_t pos = range.lo + kHot[rng.next_u64() % 3];
+      key = (pos << (64 - kPositionBits)) | (rng.next_u64() % 40);
+      if (last_hot_key != 0 && rng.next_u64() % 3 == 0) key = last_hot_key;
+      last_hot_key = key;
+    } else {
+      const std::uint64_t span = pick < 5 ? kWarm : range.width();
+      const std::uint64_t pos = range.lo + rng.next_u64() % span;
+      key = (pos << (64 - kPositionBits)) | (rng.next_u64() % 3);
+    }
+    batch.append(next_id++, key);
+  }
+  return batch;
+}
+
+/// Probe rows with fresh ids: half reuse a live key, a quarter land on the
+/// hot and warm positions, the rest anywhere in `range`.
+TupleBatch run_probe_rows(SplitMix64& rng, const PosRange& range,
+                          const std::vector<Tuple>& live, std::size_t rows,
+                          std::uint64_t& next_id) {
+  TupleBatch batch;
+  for (std::size_t i = 0; i < rows; ++i) {
+    const std::uint64_t pick = rng.next_u64() % 4;
+    std::uint64_t key = 0;
+    if (pick < 2 && !live.empty()) {
+      key = live[rng.next_u64() % live.size()].key;
+    } else if (pick == 2) {
+      const std::uint64_t pos =
+          range.lo + (rng.next_u64() % 2 == 0 ? kHot[rng.next_u64() % 3]
+                                              : rng.next_u64() % kWarm);
+      key = (pos << (64 - kPositionBits)) | (rng.next_u64() % 40);
+    } else {
+      const std::uint64_t pos = range.lo + rng.next_u64() % range.width();
+      key = (pos << (64 - kPositionBits)) | (rng.next_u64() % 3);
+    }
+    batch.append(next_id++, key);
+  }
+  return batch;
+}
+
+TEST(ProbeRunOracle, MatchesShadowRowsInInsertionOrder) {
+  SplitMix64 rng(21);
+  const Schema schema{100};
+  PosRange range{1000, 1000 + 4096};
+  LocalHashTable table(schema, range);
+  std::vector<std::unique_ptr<NodeTable>> lanes;
+  for (const std::uint32_t threads : {1u, 2u, 4u}) {
+    lanes.push_back(std::make_unique<NodeTable>(schema, range, threads));
+  }
+  RunOracle oracle;
+  std::uint64_t next_build_id = 1;
+  std::uint64_t next_probe_id = 1u << 30;
+  // Past every fan-out cutoff, so the 4-lane table probes on 4 lanes.
+  const std::size_t rows = NodeTable::kMinRowsPerLane * 4 + 500;
+
+  const auto check_probe = [&](const char* step) {
+    SCOPED_TRACE(step);
+    const TupleBatch probe =
+        run_probe_rows(rng, range, oracle.live, rows, next_probe_id);
+    const RunOracle::Expected want = oracle.probe(probe);
+    const auto check_total = [&](const LocalHashTable::BatchProbeResult& got) {
+      EXPECT_EQ(got.probed, want.total.probed);
+      EXPECT_EQ(got.matches, want.total.matches);
+      EXPECT_EQ(got.comparisons, want.total.comparisons);
+      EXPECT_EQ(got.checksum_delta, want.total.checksum_delta);
+    };
+    std::vector<Tuple> got_rows;
+    check_total(table.probe_batch(probe, &got_rows));
+    EXPECT_EQ(got_rows, want.rows);
+    std::size_t at = 0;  // this probe row's first row in want.rows
+    for (std::size_t i = 0; i < probe.size(); ++i) {
+      std::vector<Tuple> row_rows;
+      const auto got = table.probe(probe.tuple(i), &row_rows);
+      const auto& w = want.per_row[i];
+      ASSERT_EQ(got.matches, w.matches) << "row " << i;
+      EXPECT_EQ(got.comparisons, w.comparisons) << "row " << i;
+      EXPECT_EQ(got.checksum_delta, w.checksum_delta) << "row " << i;
+      EXPECT_TRUE(std::equal(row_rows.begin(), row_rows.end(),
+                             want.rows.begin() + at))
+          << "row " << i;
+      at += w.matches;
+    }
+    for (std::size_t t = 0; t < lanes.size(); ++t) {
+      SCOPED_TRACE(::testing::Message() << "node table " << t);
+      std::vector<Tuple> lane_rows;
+      check_total(lanes[t]->probe_batch(probe, &lane_rows));
+      EXPECT_EQ(lane_rows, want.rows);
+    }
+  };
+  const auto insert_batch = [&](const TupleBatch& batch) {
+    table.insert_batch(batch);
+    for (auto& t : lanes) t->insert_batch(batch);
+    oracle.insert(batch);
+  };
+  const auto extract = [&](const PosRange& sub) {
+    const TupleBatch want = table.extract_range(sub);
+    for (auto& t : lanes) EXPECT_EQ(t->extract_range(sub), want);
+    std::erase_if(oracle.live, [&](const Tuple& r) {
+      return sub.contains(position_of(r.key));
+    });
+  };
+
+  check_probe("empty table");
+  insert_batch(run_build_rows(rng, range, rows, next_build_id));
+  check_probe("first build");
+  insert_batch(run_build_rows(rng, range, rows, next_build_id));
+  check_probe("after insert_batch");
+  {
+    // The one-row insert on the LocalHashTable, the batch on the others.
+    const TupleBatch batch = run_build_rows(rng, range, rows, next_build_id);
+    for (const Tuple& t : batch) table.insert(t);
+    for (auto& t : lanes) t->insert_batch(batch);
+    oracle.insert(batch);
+  }
+  check_probe("after insert");
+  // A middle slice holding hot position 2000's long segment.
+  extract(PosRange{range.lo + 1990, range.lo + 2010});
+  check_probe("after extract_range");
+  // Drop the tail, then slide the range: offsets are relative to its start.
+  extract(PosRange{range.lo + 3000, range.hi});
+  range = PosRange{range.lo - 16, range.lo + 3000};
+  table.set_range(range);
+  for (auto& t : lanes) t->set_range(range);
+  check_probe("after set_range");
+  // Rows land again on the position whose entries were unlinked.
+  insert_batch(run_build_rows(rng, PosRange{range.lo + 16, range.hi}, rows,
+                              next_build_id));
+  check_probe("after extraction and insert");
+  extract(range);
+  check_probe("emptied table");
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include "relation/chunk.hpp"
 #include "relation/relation.hpp"
 #include "relation/tuple.hpp"
+#include "relation/tuple_batch.hpp"
 
 namespace ehja {
 namespace {
@@ -71,6 +72,15 @@ TEST(MatchSignatureTest, NoObviousCollisions) {
 TEST(RelTagTest, Names) {
   EXPECT_STREQ(rel_name(RelTag::kR), "R");
   EXPECT_STREQ(rel_name(RelTag::kS), "S");
+}
+
+TEST(TupleTest, FailuresPrintIdAndKey) {
+  // A failing EXPECT_EQ on tuples or batches shows rows, not bytes.
+  EXPECT_EQ(::testing::PrintToString(Tuple{7, 42}), "(7, 42)");
+  TupleBatch batch;
+  batch.append(1, 2);
+  batch.append(3, 4);
+  EXPECT_EQ(::testing::PrintToString(batch), "{ (1, 2), (3, 4) }");
 }
 
 }  // namespace
