@@ -88,6 +88,9 @@ int connect_loopback(std::uint16_t port) {
 
 void read_available(Conn& c) {
   if (!c.usable()) return;
+  c.in.erase(c.in.begin(),
+             c.in.begin() + static_cast<std::ptrdiff_t>(c.in_off));
+  c.in_off = 0;
   std::uint8_t buf[64 * 1024];
   for (;;) {
     const ssize_t n = ::recv(c.fd, buf, sizeof(buf), 0);
@@ -137,30 +140,42 @@ void queue_frame(Conn& c, wire::FrameKind kind,
   wire::append_frame(c.out, kind, body);
 }
 
-bool next_frame(Conn& c, wire::Frame& f) {
+namespace {
+
+/// Cut the frame at c.in_off into `f` (a FrameView or a Frame), if it is
+/// complete and intact.
+template <typename F>
+wire::FrameStatus cut_frame(Conn& c, F& f, std::string* error) {
   std::size_t consumed = 0;
+  const wire::FrameStatus st = wire::try_parse_frame(
+      c.in.data() + c.in_off, c.in.size() - c.in_off, consumed, f, error);
+  c.in_off += consumed;
+  return st;
+}
+
+template <typename F>
+bool must_cut_frame(Conn& c, F& f) {
   std::string err;
-  const wire::FrameStatus st =
-      wire::try_parse_frame(c.in.data(), c.in.size(), consumed, f, &err);
+  const wire::FrameStatus st = cut_frame(c, f, &err);
   if (st == wire::FrameStatus::kNeedMore) return false;
   EHJA_CHECK_MSG(st == wire::FrameStatus::kFrame,
                  ("corrupt frame: " + err).c_str());
-  c.in.erase(c.in.begin(),
-             c.in.begin() + static_cast<std::ptrdiff_t>(consumed));
   return true;
 }
 
+}  // namespace
+
+bool next_frame(Conn& c, wire::FrameView& f) { return must_cut_frame(c, f); }
+
+bool next_frame(Conn& c, wire::Frame& f) { return must_cut_frame(c, f); }
+
 FrameResult try_next_frame(Conn& c, wire::Frame& f, std::string* error) {
-  std::size_t consumed = 0;
-  const wire::FrameStatus st =
-      wire::try_parse_frame(c.in.data(), c.in.size(), consumed, f, error);
+  const wire::FrameStatus st = cut_frame(c, f, error);
   if (st == wire::FrameStatus::kNeedMore) return FrameResult::kNone;
   if (st == wire::FrameStatus::kError) {
     c.broken = true;  // the stream is unrecoverable past a corrupt header
     return FrameResult::kError;
   }
-  c.in.erase(c.in.begin(),
-             c.in.begin() + static_cast<std::ptrdiff_t>(consumed));
   return FrameResult::kFrame;
 }
 

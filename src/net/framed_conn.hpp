@@ -7,6 +7,13 @@
 // draining whenever the socket is writable -- a slow peer never stalls the
 // event loop.
 //
+// Frames are cut in place.  `in_off` counts the bytes at the front of `in`
+// already cut into frames; cutting a frame only advances it, and
+// read_available() drops the consumed prefix once, before it appends what
+// the socket holds.  So one read costs one compaction however many frames
+// it carried, and a FrameView from next_frame() points into `in` and stays
+// valid until the next read_available() on the same Conn.
+//
 // Two frame-extraction flavours with different trust models:
 //
 //   next_frame()      aborts on corruption.  Correct for intra-cluster
@@ -38,6 +45,8 @@ struct Conn {
   int fd = -1;
   NodeId peer = -1;
   std::vector<std::uint8_t> in;
+  /// Bytes at the front of `in` already cut into frames.
+  std::size_t in_off = 0;
   std::vector<std::uint8_t> out;
   std::size_t out_off = 0;
   std::uint64_t next_send_seq = 0;
@@ -67,9 +76,10 @@ int connect_loopback(std::uint16_t port);
 /// probing a server that may not be up yet.
 int try_connect_loopback(std::uint16_t port, int attempts = 250);
 
-/// Drain everything currently readable into c.in.  Returns with c.eof /
-/// c.broken set on EOF or a hard error; both mean the peer process is gone
-/// (fail-stop), never a protocol decision point.
+/// Drop the frames already cut from c.in, then drain everything currently
+/// readable into it.  Returns with c.eof / c.broken set on EOF or a hard
+/// error; both mean the peer process is gone (fail-stop), never a protocol
+/// decision point.
 void read_available(Conn& c);
 
 /// Push queued bytes out until the socket would block.
@@ -78,8 +88,11 @@ void flush_out(Conn& c);
 void queue_frame(Conn& c, wire::FrameKind kind,
                  const std::vector<std::uint8_t>& body);
 
-/// Cut one complete frame off the front of c.in.  A corrupt stream aborts
+/// Cut one complete frame off the front of c.in, in place: f.body points
+/// into c.in until the next read_available(c).  A corrupt stream aborts
 /// (trusted intra-cluster links only; see file comment).
+bool next_frame(Conn& c, wire::FrameView& f);
+/// The same, copying the body out.
 bool next_frame(Conn& c, wire::Frame& f);
 
 enum class FrameResult {

@@ -1,5 +1,7 @@
 #include "net/wire.hpp"
 
+#include <zlib.h>
+
 #include <algorithm>
 #include <bit>
 #include <cstring>
@@ -12,57 +14,9 @@
 namespace ehja::wire {
 
 // --- CRC32 ---
-//
-// Slice-by-8: table k holds each byte's CRC contribution with k more zero
-// bytes behind it, so one step folds eight input bytes through eight
-// independent lookups instead of a chain of eight dependent ones.  The
-// polynomial, initial value and final xor are the byte-at-a-time loop's,
-// and so is every CRC.
-
-namespace {
-
-struct Crc32Tables {
-  std::uint32_t t[8][256];
-  Crc32Tables() {
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      t[0][i] = c;
-    }
-    for (int k = 1; k < 8; ++k) {
-      for (std::uint32_t i = 0; i < 256; ++i) {
-        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
-      }
-    }
-  }
-};
-
-/// The eight bytes at `p` as a little-endian u64, on any host.
-std::uint64_t load_le64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  std::memcpy(&v, p, sizeof(v));
-  if constexpr (std::endian::native == std::endian::big) {
-    v = __builtin_bswap64(v);
-  }
-  return v;
-}
-
-}  // namespace
 
 std::uint32_t crc32(const std::uint8_t* data, std::size_t size) {
-  static const Crc32Tables tables;
-  const auto& t = tables.t;
-  std::uint32_t c = 0xFFFFFFFFu;
-  for (; size >= 8; data += 8, size -= 8) {
-    const std::uint64_t v = load_le64(data) ^ c;
-    c = t[7][v & 0xFF] ^ t[6][(v >> 8) & 0xFF] ^ t[5][(v >> 16) & 0xFF] ^
-        t[4][(v >> 24) & 0xFF] ^ t[3][(v >> 32) & 0xFF] ^
-        t[2][(v >> 40) & 0xFF] ^ t[1][(v >> 48) & 0xFF] ^ t[0][v >> 56];
-  }
-  for (; size > 0; ++data, --size) c = t[0][(c ^ *data) & 0xFF] ^ (c >> 8);
-  return c ^ 0xFFFFFFFFu;
+  return static_cast<std::uint32_t>(::crc32_z(0, data, size));
 }
 
 // --- Writer ---
@@ -80,6 +34,19 @@ std::uint8_t* put_varint(std::uint8_t* p, std::uint64_t v) {
   return p;
 }
 
+/// Byte-swap each of `n` words at `p` on a big-endian host, turning host
+/// words into little-endian ones and back; a no-op elsewhere.
+void swap_to_le(std::uint8_t* p, std::size_t n) {
+  if constexpr (std::endian::native == std::endian::big) {
+    for (std::size_t i = 0; i < n; ++i, p += 8) {
+      std::uint64_t v;
+      std::memcpy(&v, p, 8);
+      v = __builtin_bswap64(v);
+      std::memcpy(p, &v, 8);
+    }
+  }
+}
+
 }  // namespace
 
 void Writer::u16(std::uint16_t v) {
@@ -93,11 +60,7 @@ void Writer::u32(std::uint32_t v) {
   }
 }
 
-void Writer::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
+void Writer::u64(std::uint64_t v) { u64s({&v, 1}); }
 
 void Writer::varint(std::uint64_t v) { varints({&v, 1}); }
 
@@ -107,6 +70,13 @@ void Writer::varints(std::span<const std::uint64_t> column) {
   std::uint8_t* p = buf_.data() + start;
   for (const std::uint64_t v : column) p = put_varint(p, v);
   buf_.resize(static_cast<std::size_t>(p - buf_.data()));
+}
+
+void Writer::u64s(std::span<const std::uint64_t> column) {
+  const std::size_t start = buf_.size();
+  const auto* bytes = reinterpret_cast<const std::uint8_t*>(column.data());
+  buf_.insert(buf_.end(), bytes, bytes + column.size_bytes());
+  swap_to_le(buf_.data() + start, column.size());
 }
 
 void Writer::zigzag(std::int64_t v) {
@@ -160,36 +130,76 @@ std::uint32_t Reader::u32() {
 }
 
 std::uint64_t Reader::u64() {
-  if (!ok_ || size_ - pos_ < 8) {
-    ok_ = false;
-    return 0;
-  }
   std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
-  }
-  pos_ += 8;
+  u64s({&v, 1});
   return v;
 }
 
+void Reader::u64s(std::span<std::uint64_t> column) {
+  if (!ok_ || remaining() / 8 < column.size()) {
+    ok_ = false;
+    std::fill(column.begin(), column.end(), 0);
+    return;
+  }
+  auto* bytes = reinterpret_cast<std::uint8_t*>(column.data());
+  std::memcpy(bytes, data_ + pos_, column.size_bytes());
+  swap_to_le(bytes, column.size());
+  pos_ += column.size_bytes();
+}
+
+namespace {
+
+/// Read one varint at `p`, which has kMaxVarintBytes readable bytes;
+/// returns how many it took, or 0 for an overlong encoding.
+std::size_t get_varint(const std::uint8_t* p, std::uint64_t& v) {
+  std::uint64_t x = 0;
+  for (std::size_t n = 0; n < kMaxVarintBytes; ++n) {
+    const std::uint8_t byte = p[n];
+    x |= static_cast<std::uint64_t>(byte & 0x7F) << (7 * n);
+    if (!(byte & 0x80)) {
+      // The 10th byte may only carry the final bit of a 64-bit value.
+      if (n == kMaxVarintBytes - 1 && byte > 1) return 0;
+      v = x;
+      return n + 1;
+    }
+  }
+  return 0;
+}
+
+}  // namespace
+
 std::uint64_t Reader::varint() {
   std::uint64_t v = 0;
-  for (unsigned shift = 0; shift < 70; shift += 7) {
-    if (!ok_ || pos_ >= size_) {
-      ok_ = false;
-      return 0;
+  varints({&v, 1});
+  return v;
+}
+
+void Reader::varints(std::span<std::uint64_t> column) {
+  // Locals, so that the column writes cannot make the loop reload them.
+  const std::size_t size = size_;
+  std::size_t pos = pos_;
+  std::size_t i = 0;
+  for (; ok_ && i < column.size(); ++i) {
+    const std::size_t left = size - pos;
+    std::size_t n = 0;
+    if (left >= kMaxVarintBytes) {
+      n = get_varint(data_ + pos, column[i]);
+    } else {
+      // Near the end, read a zero-padded copy: a varint cut short ends in
+      // the padding, longer than the bytes that are left.
+      std::uint8_t tail[kMaxVarintBytes] = {};
+      std::memcpy(tail, data_ + pos, left);
+      n = get_varint(tail, column[i]);
+      if (n > left) n = 0;
     }
-    const std::uint8_t byte = data_[pos_++];
-    // The 10th byte may only carry the final bit of a 64-bit value.
-    if (shift == 63 && (byte & 0xFE)) {
+    if (n == 0) {
       ok_ = false;
-      return 0;
+      break;
     }
-    v |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
-    if (!(byte & 0x80)) return v;
+    pos += n;
   }
-  ok_ = false;
-  return 0;
+  pos_ = pos;
+  std::fill(column.begin() + static_cast<std::ptrdiff_t>(i), column.end(), 0);
 }
 
 std::int64_t Reader::zigzag() {
@@ -479,31 +489,34 @@ bool Dec::get(std::string& s) {
   return r_.ok();
 }
 
-// Chunks are encoded columnar (all row ids, then all join attributes) so
-// the codec streams each column of the batch sequentially; the derived
-// position column is recomputed on decode rather than shipped.
+// Chunks are encoded columnar (all row ids as varints, then all join
+// attributes as 8-byte words) so the codec streams each column of the batch
+// sequentially; the derived position column is recomputed on decode rather
+// than shipped.
 void Enc::put(const Chunk& v) {
   put(v.rel);
   w_.varint(v.batch.size());
   w_.varints(v.batch.ids());
-  w_.varints(v.batch.keys());
+  w_.u64s(v.batch.keys());
 }
+
+/// The fewest bytes one row takes in a Chunk or materialized relation: a
+/// one-byte id and an 8-byte key.
+constexpr std::size_t kMinRowBytes = 1 + 8;
 
 bool Dec::get(Chunk& v) {
   std::uint64_t count = 0;
-  if (!(*this)(v.rel, count) || !r_.can_hold(count, 2)) return false;
-  std::vector<std::uint64_t> ids;
-  ids.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    ids.push_back(r_.varint());
-    if (!r_.ok()) return false;
+  if (!(*this)(v.rel, count) || !r_.can_hold(count, kMinRowBytes)) {
+    return false;
   }
+  const auto n = static_cast<std::size_t>(count);
   v.batch.clear();
-  v.batch.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::uint64_t key = r_.varint();
-    if (!r_.ok()) return false;
-    v.batch.append(ids[static_cast<std::size_t>(i)], key);
+  const TupleBatch::Columns rows = v.batch.append_rows(n);
+  r_.varints({rows.ids, n});
+  r_.u64s({rows.keys, n});
+  if (!r_.ok()) return false;
+  for (std::size_t i = 0; i < n; ++i) {
+    rows.positions[i] = static_cast<std::uint32_t>(position_of(rows.keys[i]));
   }
   return true;
 }
@@ -578,15 +591,19 @@ bool Dec::get(PositionHistogram& v) {
 }
 
 // Materialized backing rows (pipeline intermediates) ride inside the
-// relation spec behind a presence flag, columnar (ids then keys) with the
-// source checksum.
+// relation spec behind a presence flag, with the source checksum, in a
+// Chunk's column layout: the ids as varints, then the keys as 8-byte words.
 void Enc::put(const RelationSpec& v) {
   (*this)(v.tag, v.tuple_count, v.schema.tuple_bytes, v.dist,
           v.data != nullptr);
   if (v.data) {
     w_.u64(v.data->source_checksum);
-    for (const Tuple& t : v.data->rows) w_.varint(t.id);
-    for (const Tuple& t : v.data->rows) w_.varint(t.key);
+    const std::vector<Tuple>& rows = v.data->rows;
+    std::vector<std::uint64_t> column(rows.size());
+    for (std::size_t i = 0; i < rows.size(); ++i) column[i] = rows[i].id;
+    w_.varints(column);
+    for (std::size_t i = 0; i < rows.size(); ++i) column[i] = rows[i].key;
+    w_.u64s(column);
   }
 }
 
@@ -604,13 +621,16 @@ bool Dec::get(RelationSpec& v) {
     v.data.reset();
     return true;
   }
-  if (!r_.can_hold(v.tuple_count, 2)) return false;
+  if (!r_.can_hold(v.tuple_count, kMinRowBytes)) return false;
   auto data = std::make_shared<MaterializedRelation>();
   data->source_checksum = r_.u64();
-  data->rows.resize(static_cast<std::size_t>(v.tuple_count));
-  for (Tuple& t : data->rows) t.id = r_.varint();
-  for (Tuple& t : data->rows) t.key = r_.varint();
+  std::vector<std::uint64_t> ids(static_cast<std::size_t>(v.tuple_count));
+  std::vector<std::uint64_t> keys(ids.size());
+  r_.varints(ids);
+  r_.u64s(keys);
   if (!r_.ok()) return false;
+  data->rows.resize(ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) data->rows[i] = {ids[i], keys[i]};
   v.data = std::move(data);
   return true;
 }
@@ -769,23 +789,44 @@ bool decode_config(Reader& r, EhjaConfig& config) {
 
 // --- frame layer ---
 
+namespace {
+
+void store_le32(std::uint8_t* p, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+}  // namespace
+
+std::size_t begin_frame(std::vector<std::uint8_t>& out) {
+  const std::size_t start = out.size();
+  out.resize(start + kFrameHeaderBytes);
+  return start;
+}
+
+void end_frame(std::vector<std::uint8_t>& out, std::size_t start,
+               FrameKind kind) {
+  EHJA_CHECK(out.size() >= start + kFrameHeaderBytes);
+  const std::size_t body_len = out.size() - start - kFrameHeaderBytes;
+  EHJA_CHECK_MSG(body_len <= kMaxFrameBody, "frame body exceeds cap");
+  std::uint8_t* header = out.data() + start;
+  store_le32(header, kFrameMagic);
+  header[4] = kWireVersion;
+  header[5] = static_cast<std::uint8_t>(kind);
+  header[6] = 0;  // reserved
+  header[7] = 0;
+  store_le32(header + 8, static_cast<std::uint32_t>(body_len));
+  store_le32(header + 12, crc32(header + kFrameHeaderBytes, body_len));
+}
+
 void append_frame(std::vector<std::uint8_t>& out, FrameKind kind,
-                  const std::vector<std::uint8_t>& body) {
-  EHJA_CHECK_MSG(body.size() <= kMaxFrameBody, "frame body exceeds cap");
-  Writer header;
-  header.u32(kFrameMagic);
-  header.u8(kWireVersion);
-  header.u8(static_cast<std::uint8_t>(kind));
-  header.u16(0);  // reserved
-  header.u32(static_cast<std::uint32_t>(body.size()));
-  header.u32(crc32(body.data(), body.size()));
-  EHJA_CHECK(header.size() == kFrameHeaderBytes);
-  out.insert(out.end(), header.data().begin(), header.data().end());
+                  std::span<const std::uint8_t> body) {
+  const std::size_t start = begin_frame(out);
   out.insert(out.end(), body.begin(), body.end());
+  end_frame(out, start, kind);
 }
 
 FrameStatus try_parse_frame(const std::uint8_t* data, std::size_t size,
-                            std::size_t& consumed, Frame& out,
+                            std::size_t& consumed, FrameView& out,
                             std::string* error) {
   consumed = 0;
   if (size < kFrameHeaderBytes) return FrameStatus::kNeedMore;
@@ -825,9 +866,21 @@ FrameStatus try_parse_frame(const std::uint8_t* data, std::size_t size,
     return FrameStatus::kError;
   }
   out.kind = static_cast<FrameKind>(kind);
-  out.body.assign(body, body + body_len);
+  out.body = {body, body_len};
   consumed = kFrameHeaderBytes + body_len;
   return FrameStatus::kFrame;
+}
+
+FrameStatus try_parse_frame(const std::uint8_t* data, std::size_t size,
+                            std::size_t& consumed, Frame& out,
+                            std::string* error) {
+  FrameView view;
+  const FrameStatus st = try_parse_frame(data, size, consumed, view, error);
+  if (st == FrameStatus::kFrame) {
+    out.kind = view.kind;
+    out.body.assign(view.body.begin(), view.body.end());
+  }
+  return st;
 }
 
 }  // namespace ehja::wire

@@ -9,8 +9,10 @@
 //
 // Layering:
 //   * Primitives -- explicit little-endian fixed-width integers, LEB128
-//     varints, zigzag-folded signed varints, bit-cast doubles.  Nothing is
-//     ever written through a struct overlay, so the format is independent of
+//     varints, zigzag-folded signed varints, bit-cast doubles, and two
+//     column calls: varints() and u64s() move a whole column of u64s in one
+//     call (u64s is one memcpy on a little-endian host).  Nothing is ever
+//     written through a struct overlay, so the format is independent of
 //     host endianness and padding.
 //   * Archives -- Enc (over a Writer) and Dec (over a Reader) walk a
 //     struct's field list.  Each plain wire struct has exactly one,
@@ -39,13 +41,22 @@
 //       struct             its own field list
 //
 //     Four layouts are more than a field list and keep a hand-written
-//     Enc::put / Dec::get pair in wire.cpp: Chunk (columnar -- the ids
-//     column, then the keys column -- so the data plane streams each column
-//     in one loop), PartitionMap (decode re-validates the invariants its
-//     constructor would abort on), PositionHistogram (delta-coded sparse
-//     cells; decode re-validates what push() would abort on), and RelationSpec
-//     (decode enforces tuple_bytes >= 16, and materialized rows ship
-//     columnar behind a presence flag).
+//     Enc::put / Dec::get pair in wire.cpp: Chunk, PartitionMap (decode
+//     re-validates the invariants its constructor would abort on),
+//     PositionHistogram (delta-coded sparse cells; decode re-validates what
+//     push() would abort on), and RelationSpec (decode enforces
+//     tuple_bytes >= 16, and materialized rows ship behind a presence flag
+//     in the Chunk's column layout).
+//
+//     A Chunk body is columnar: relation tag, row count (varint), the ids
+//     column as one varint per row, then the keys column as one 8-byte
+//     little-endian word per row.  Keys are fixed-width because
+//     position_of() reads a key's top bits, so every key that spreads over
+//     the position space spreads over all 64 bits and would take 9-10
+//     varint bytes; row ids are small and stay varints.  Decode checks the
+//     row count against the remaining bytes at 9 per row before it
+//     allocates, fills the TupleBatch's columns in place and derives the
+//     position column from the keys (positions never ship).
 //   * Frame bodies -- encode_body/decode_body turn one value (a control
 //     frame, a serve payload, an EhjaConfig) into a whole frame body and
 //     back; decode_body rejects a body with a byte missing or left over.
@@ -54,8 +65,13 @@
 //     that Message::as<T>() expects from the one Tag -> payload-type switch
 //     in wire.cpp.
 //   * Frame layer -- a 16-byte header (magic, version, kind, length) plus a
-//     CRC32 over the body.  try_parse_frame() consumes a byte stream
-//     incrementally, so a TCP receive buffer can be fed as-is.
+//     CRC-32 over the body (zlib's crc32_z).  A sender builds a frame in
+//     place: begin_frame() reserves the header at the end of its output
+//     buffer, the body is encoded straight behind it, and end_frame() fills
+//     in the length and the CRC over the body where it lies.
+//     try_parse_frame() consumes a byte stream incrementally, so a TCP
+//     receive buffer can be fed as-is; its FrameView form checks a frame
+//     inside that buffer and points at the body instead of copying it.
 //
 // Robustness contract: decoding is total.  Truncated, bit-flipped or
 // adversarial input makes decode functions return false (or
@@ -109,16 +125,23 @@ namespace ehja::wire {
 /// one delta-coded (gap, count) pair per occupied position -- and its bin
 /// count leaves both the config handshake and the histogram request.
 /// v9: the source progress cadence leaves the config handshake.
-inline constexpr std::uint8_t kWireVersion = 9;
+/// v10: key columns (chunks and materialized relation rows) ship as 8-byte
+/// little-endian words instead of varints.
+inline constexpr std::uint8_t kWireVersion = 10;
 
-/// CRC32 (IEEE 802.3, reflected, poly 0xEDB88320) over `size` bytes,
-/// computed eight bytes per step (slice-by-8).
+/// CRC32 (IEEE 802.3, reflected, poly 0xEDB88320) over `size` bytes: zlib's
+/// crc32_z, with its initial value 0 and final xor.
 std::uint32_t crc32(const std::uint8_t* data, std::size_t size);
 
 // --- primitives ---
 
 class Writer {
  public:
+  Writer() = default;
+  /// Append to `buf` (a link's output buffer, say) instead of a fresh
+  /// vector; take() hands it back.
+  explicit Writer(std::vector<std::uint8_t>&& buf) : buf_(std::move(buf)) {}
+
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void u16(std::uint16_t v);
   void u32(std::uint32_t v);
@@ -128,6 +151,8 @@ class Writer {
   /// One varint per value, back to back, written through a pointer into
   /// the buffer grown once for the whole column.
   void varints(std::span<const std::uint64_t> column);
+  /// One 8-byte little-endian word per value, back to back.
+  void u64s(std::span<const std::uint64_t> column);
   /// Zigzag-folded signed varint (small magnitudes stay small).
   void zigzag(std::int64_t v);
   /// IEEE-754 double, bit-cast and stored little-endian.
@@ -158,6 +183,10 @@ class Reader {
   std::uint32_t u32();
   std::uint64_t u64();
   std::uint64_t varint();
+  /// The column calls: fill `column` with that many varints, or 8-byte
+  /// little-endian words.  Past a failure the rest of the column is zero.
+  void varints(std::span<std::uint64_t> column);
+  void u64s(std::span<std::uint64_t> column);
   std::int64_t zigzag();
   double f64();
 
@@ -568,9 +597,24 @@ struct Frame {
   std::vector<std::uint8_t> body;
 };
 
+/// A frame checked in place: `body` points into the buffer it was parsed
+/// from and is valid as long as those bytes are.
+struct FrameView {
+  FrameKind kind = FrameKind::kHello;
+  std::span<const std::uint8_t> body;
+};
+
+/// Open a frame at the end of `out`: reserve its header and return where
+/// it starts.  Append the body behind it, then close it with end_frame.
+std::size_t begin_frame(std::vector<std::uint8_t>& out);
+/// Close the frame opened at `start`: its body is everything behind the
+/// header, and the header gets its kind, length and the body's CRC.
+void end_frame(std::vector<std::uint8_t>& out, std::size_t start,
+               FrameKind kind);
+
 /// Append a complete frame (header + body) to `out`.
 void append_frame(std::vector<std::uint8_t>& out, FrameKind kind,
-                  const std::vector<std::uint8_t>& body);
+                  std::span<const std::uint8_t> body);
 
 enum class FrameStatus {
   kNeedMore,  // prefix of a valid frame; feed more bytes
@@ -580,9 +624,13 @@ enum class FrameStatus {
 
 /// Try to extract one frame from the front of [data, data+size).  On
 /// kFrame, `consumed` is the total bytes to drop from the stream and `out`
-/// holds the frame.  On kError, `error` (if non-null) describes the
+/// holds the frame, its body pointing into `data`.  On kError, `error` (if non-null) describes the
 /// corruption; the stream is unrecoverable (TCP guarantees ordering, so a
 /// bad header means a framing bug or corruption, not a resync point).
+FrameStatus try_parse_frame(const std::uint8_t* data, std::size_t size,
+                            std::size_t& consumed, FrameView& out,
+                            std::string* error = nullptr);
+/// The same, copying the body out of [data, data+size).
 FrameStatus try_parse_frame(const std::uint8_t* data, std::size_t size,
                             std::size_t& consumed, Frame& out,
                             std::string* error = nullptr);

@@ -33,12 +33,13 @@ constexpr std::size_t varint_bytes(std::uint64_t v) {
 inline constexpr std::size_t kMaxVarintBytes = varint_bytes(~0ull);
 
 /// Most rows one frame body may carry as an id column and a key column:
-/// both at worst-case varints still leave 4 MiB of the body cap for the
-/// envelope around them.  EhjaConfig::validate_or_error bounds the
-/// transport chunk (data, forwarded and result chunks are cut at
-/// chunk_tuples rows), a materialized relation (it rides inside the
-/// config frame) and a data source's generation slice by it.
+/// worst-case rows (a 10-byte varint id and an 8-byte key) still leave
+/// 4 MiB of the body cap for the envelope around them.
+/// EhjaConfig::validate_or_error bounds the transport chunk (data,
+/// forwarded and result chunks are cut at chunk_tuples rows), a
+/// materialized relation (it rides inside the config frame) and a data
+/// source's generation slice by it.
 inline constexpr std::size_t kMaxFrameRows =
-    (kMaxFrameBody - (4u << 20)) / (2 * kMaxVarintBytes);
+    (kMaxFrameBody - (4u << 20)) / (kMaxVarintBytes + 8);
 
 }  // namespace ehja::wire

@@ -128,13 +128,15 @@ void SocketLoop::route_to(NodeId dst, ActorId to, NodeId from_node,
     return;
   }
   // The actor-message frame: destination id and per-link sequence number,
-  // then the message itself.
+  // then the message itself, encoded straight into the link's output.
   Conn& c = *conns_[dst];
-  wire::Writer w;
+  const std::size_t frame = wire::begin_frame(c.out);
+  wire::Writer w(std::move(c.out));
   w.zigzag(to);
   w.varint(c.next_send_seq++);
   wire::encode_message(msg, w);
-  wire::append_frame(c.out, wire::FrameKind::kActorMsg, w.data());
+  c.out = w.take();
+  wire::end_frame(c.out, frame, wire::FrameKind::kActorMsg);
   if (c.out.size() - c.out_off >= kEarlyFlushBytes) {
     flush_out(c);
     // pump() polls usable links only, so a break found here is reported
@@ -206,13 +208,15 @@ void SocketLoop::drain_local() {
 }
 
 void SocketLoop::handle_frames(Conn& conn) {
-  wire::Frame f;
+  // Actor messages decode from the frame where it lies in conn.in; nothing
+  // here reads from conn, so the view outlives each decode.
+  wire::FrameView f;
   while (conn.usable() && next_frame(conn, f)) {
     if (f.kind != wire::FrameKind::kActorMsg) {
-      on_control_frame(f);
+      on_control_frame(wire::Frame{f.kind, {f.body.begin(), f.body.end()}});
       continue;
     }
-    wire::Reader r(f.body);
+    wire::Reader r(f.body.data(), f.body.size());
     const auto to = static_cast<ActorId>(r.zigzag());
     const std::uint64_t seq = r.varint();
     Message msg;

@@ -151,6 +151,10 @@ class SocketLoop : public Runtime {
   void route_to(NodeId dst, ActorId to, NodeId from_node, Message msg);
   /// Run `fn` after `delay_sec`; before run() the delay counts from run().
   void enqueue_timer(double delay_sec, std::function<void()> fn);
+  /// Take in every complete frame buffered on `conn`: actor messages are
+  /// decoded in place and queued for their actor, the rest go to
+  /// on_control_frame.
+  void handle_frames(netio::Conn& conn);
 
   const NodeId self_;
   ClusterSpec spec_;
@@ -178,7 +182,6 @@ class SocketLoop : public Runtime {
   void drain_local();
   void fire_due_timers();
   void pump(int timeout_ms);
-  void handle_frames(netio::Conn& conn);
 
   const std::size_t local_batch_;
   std::vector<char> node_dead_;

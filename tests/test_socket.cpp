@@ -15,7 +15,9 @@
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -82,7 +84,8 @@ TEST(FifoAccept, AcceptsExactlyTheNextSequence) {
 // threshold starts going out from inside route_to, behind what was queued
 // before it; a link that this flush finds broken is reported, once.
 
-/// A SocketLoop whose one peer link is a socketpair, driven by hand.
+/// A SocketLoop whose one peer link is a socketpair, driven by hand.  It
+/// labels every frame its receive path takes in, in arrival order.
 class LinkProbe final : public SocketLoop {
  public:
   LinkProbe() : SocketLoop(0, 32) {
@@ -99,23 +102,51 @@ class LinkProbe final : public SocketLoop {
   }
   void send_to_peer(Message msg) { route_to(1, 7, 0, std::move(msg)); }
   netio::Conn& link() { return *conns_[1]; }
+  /// One read of the link, then the loop's receive path over it.
+  void receive() {
+    netio::read_available(link());
+    handle_frames(link());
+  }
 
   std::unique_ptr<netio::Conn> peer;
   int lost = 0;
+  std::vector<std::string> arrivals;
 
  private:
-  void on_control_frame(const wire::Frame& /*f*/) override {}
+  void on_control_frame(const wire::Frame& f) override {
+    arrivals.push_back("control " + std::to_string(static_cast<int>(f.kind)) +
+                       " " + std::to_string(f.body.size()));
+  }
   void on_unrouted_send(ActorId /*to*/, Message /*msg*/) override {}
-  void on_unhosted_receive(NodeId /*from*/, ActorId /*to*/,
-                           Message /*msg*/) override {}
+  void on_unhosted_receive(NodeId /*from*/, ActorId to,
+                           Message msg) override {
+    arrivals.push_back(label(to, msg));
+  }
   void on_connection_lost(const netio::Conn& /*conn*/) override { ++lost; }
+
+ public:
+  /// What a message is, down to a fold of a data chunk's rows.
+  static std::string label(ActorId to, const Message& msg) {
+    std::string out = std::to_string(to) + " tag " + std::to_string(msg.tag);
+    if (msg.tag == static_cast<int>(Tag::kDataChunk)) {
+      const TupleBatch& rows = msg.as<ChunkPayload>().chunk.batch;
+      std::uint64_t fold = 0;
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        fold = fold * 31 + rows.id(i) * 7 + rows.key(i) + rows.position(i);
+      }
+      out += " rows " + std::to_string(rows.size()) + " fold " +
+             std::to_string(fold);
+    }
+    return out;
+  }
 };
 
 /// A data chunk of `rows` random rows: at about 18 bytes a row, 30k rows
-/// frame to twice the flush threshold.
-Message chunk_message(std::size_t rows) {
+/// frame to twice the flush threshold.  `seed` tells equal-sized chunks
+/// apart.
+Message chunk_message(std::size_t rows, std::uint64_t seed = 0) {
   ChunkPayload payload;
-  SplitMix64 rng(rows);
+  SplitMix64 rng(rows + (seed << 32));
   for (std::size_t i = 0; i < rows; ++i) {
     payload.chunk.batch.append(rng.next_u64(), rng.next_u64());
   }
@@ -162,6 +193,135 @@ TEST(EarlyLinkFlush, BrokenLinkIsReportedOnce) {
   EXPECT_EQ(loop.lost, 1);
   loop.send_to_peer(chunk_message(30'000));  // dropped: the link is unusable
   EXPECT_EQ(loop.lost, 1);
+}
+
+// ---------------------------------------------------------------------------
+// Frames built and taken in place.  A sender encodes each actor message
+// straight behind a header reserved in the link's output buffer; a
+// receiver checks each frame inside its input buffer, decodes it from a
+// view, and drops the consumed bytes once per read.
+
+TEST(InPlaceFraming, BeginEndFrameMatchesAppendFrame) {
+  SplitMix64 rng(0xF4A3);
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1},
+                              std::size_t{1} << 20}) {
+    std::vector<std::uint8_t> body(n);
+    for (std::uint8_t& b : body) b = static_cast<std::uint8_t>(rng.next_u64());
+    // The documented layout, written field by field.
+    wire::Writer layout;
+    layout.u8(0xAB);  // bytes already queued ahead of the frame
+    layout.u32(wire::kFrameMagic);
+    layout.u8(wire::kWireVersion);
+    layout.u8(static_cast<std::uint8_t>(wire::FrameKind::kActorMsg));
+    layout.u16(0);
+    layout.u32(static_cast<std::uint32_t>(n));
+    layout.u32(wire::crc32(body.data(), body.size()));
+    layout.bytes(body.data(), body.size());
+
+    std::vector<std::uint8_t> appended = {0xAB};
+    wire::append_frame(appended, wire::FrameKind::kActorMsg, body);
+    EXPECT_EQ(appended, layout.data()) << n << "-byte body";
+
+    // The send path's way: a Writer adopts the buffer behind the header.
+    std::vector<std::uint8_t> built = {0xAB};
+    const std::size_t start = wire::begin_frame(built);
+    wire::Writer w(std::move(built));
+    w.bytes(body.data(), body.size());
+    built = w.take();
+    wire::end_frame(built, start, wire::FrameKind::kActorMsg);
+    EXPECT_EQ(built, layout.data()) << n << "-byte body";
+  }
+}
+
+/// The bytes a peer reads after `send` queues frames on a fresh link.
+std::vector<std::uint8_t> burst_bytes(
+    const std::function<void(LinkProbe&)>& send) {
+  LinkProbe sender;
+  send(sender);
+  while (sender.link().wants_write()) {
+    netio::flush_out(sender.link());
+    netio::read_available(*sender.peer);
+  }
+  netio::read_available(*sender.peer);
+  return sender.peer->in;
+}
+
+TEST(InPlaceFraming, BurstArrivesOnceInOrderAtAnyReadSize) {
+  // 1-row and 100k-row data chunks, with control frames between them.
+  std::vector<Message> sent;
+  for (const std::size_t rows : {1, 1, 100'000, 1, 100'000, 1}) {
+    sent.push_back(chunk_message(rows, sent.size()));
+  }
+  sent.insert(sent.begin() + 3, make_signal(Tag::kPing));
+  const auto announce = [](int i) {
+    return wire::encode_body(wire::AnnounceFrame{100 + i, 2});
+  };
+  std::vector<std::string> expected;
+  const std::vector<std::uint8_t> bytes = burst_bytes([&](LinkProbe& tx) {
+    for (std::size_t i = 0; i < sent.size(); ++i) {
+      tx.send_to_peer(sent[i]);
+      expected.push_back(LinkProbe::label(7, sent[i]));
+      if (i % 2 == 0) {
+        const auto body = announce(static_cast<int>(i));
+        netio::queue_frame(tx.link(), wire::FrameKind::kAnnounce, body);
+        expected.push_back("control " +
+                           std::to_string(static_cast<int>(
+                               wire::FrameKind::kAnnounce)) +
+                           " " + std::to_string(body.size()));
+      }
+    }
+  });
+  ASSERT_GT(bytes.size(), 3'000'000u);
+
+  // Once in reads as large as the socket allows, once one byte per read.
+  for (const std::size_t step : {bytes.size(), std::size_t{1}}) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    LinkProbe rx;
+    for (std::size_t at = 0; at < bytes.size();) {
+      const ssize_t n =
+          ::send(rx.peer->fd, bytes.data() + at,
+                 std::min(step, bytes.size() - at), MSG_DONTWAIT);
+      if (n > 0) at += static_cast<std::size_t>(n);
+      rx.receive();
+      ASSERT_FALSE(rx.link().broken);
+    }
+    rx.receive();
+    EXPECT_EQ(rx.arrivals, expected);
+    EXPECT_EQ(rx.link().next_recv_seq, sent.size());
+    EXPECT_EQ(rx.link().in_off, rx.link().in.size()) << "a frame is left";
+    netio::read_available(rx.link());
+    EXPECT_TRUE(rx.link().in.empty()) << "consumed bytes outlived a read";
+    EXPECT_EQ(rx.link().in_off, 0u);
+  }
+}
+
+TEST(InPlaceFraming, CorruptCrcBreaksTheLinkAfterTwoFrames) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  const std::unique_ptr<netio::Conn> tx = netio::adopt_fd(fds[0]);
+  const std::unique_ptr<netio::Conn> rx = netio::adopt_fd(fds[1]);
+  std::vector<std::size_t> starts;
+  for (int i = 0; i < 5; ++i) {
+    starts.push_back(tx->out.size());
+    netio::queue_frame(*tx, wire::FrameKind::kAnnounce,
+                       wire::encode_body(wire::AnnounceFrame{i, 1}));
+  }
+  tx->out[starts[2] + 12] ^= 0x01;  // the low bit of the third frame's CRC
+  netio::must_flush(*tx, 5.0, "five frames");
+  netio::read_available(*rx);
+
+  wire::Frame f;
+  std::string error;
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_EQ(netio::try_next_frame(*rx, f, &error), netio::FrameResult::kFrame);
+    wire::AnnounceFrame a;
+    ASSERT_TRUE(wire::decode_body(f.body, a));
+    EXPECT_EQ(a.id, i);
+  }
+  EXPECT_FALSE(rx->broken);
+  EXPECT_EQ(netio::try_next_frame(*rx, f, &error), netio::FrameResult::kError);
+  EXPECT_TRUE(rx->broken);
+  EXPECT_NE(error.find("CRC"), std::string::npos) << error;
 }
 
 // ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/config.hpp"
@@ -163,7 +164,7 @@ TEST(WireCrc32, MatchesByteAtATimeAtEveryLengthAndOffset) {
 //
 // A deliberate format change bumps kWireVersion and re-records every pin in
 // this file in the same commit.
-static_assert(wire::kWireVersion == 9, "wire format changed: re-record pins");
+static_assert(wire::kWireVersion == 10, "wire format changed: re-record pins");
 
 struct Pin {
   std::size_t size;
@@ -385,7 +386,7 @@ constexpr Pin kMessagePins[] = {
     {9, 0x35870932},  // kJoinInit
     {31, 0x4b96a60e},  // kStartBuild
     {3, 0x15cc1f04},  // kGenSlice
-    {33, 0xf81ad9af},  // kDataChunk
+    {44, 0x5cbcbe35},  // kDataChunk
     {4, 0x1fee35c0},  // kForwardEnd
     {10, 0x9b40b49c},  // kMemoryFull
     {8, 0xb519d686},  // kSplitRequest
@@ -406,7 +407,7 @@ constexpr Pin kMessagePins[] = {
     {4, 0x84fa6dfd},  // kReshuffleDone
     {3, 0x96468a42},  // kReportRequest
     {24, 0x93babfd2},  // kNodeReport
-    {34, 0xd6b2b387},  // kResultChunk
+    {45, 0xc47a02b7},  // kResultChunk
     {3, 0x837ad056},  // kPing
     {3, 0x2c4b4b34},  // kPong
     {3, 0x8473788a},  // kHeartbeatTick
@@ -556,12 +557,13 @@ TEST(WireBatchCodec, ExtremeColumnValuesSurvive) {
       const std::size_t j = i % values.size();
       chunk.batch.append(values[j], values[values.size() - 1 - j]);
     }
-    // The column encoder writes exactly the bytes of one varint per value.
+    // The column encoders write exactly one varint per id and one 8-byte
+    // little-endian word per key.
     Writer reference;
     reference.u8(static_cast<std::uint8_t>(chunk.rel));
     reference.varint(rows);
     for (std::size_t i = 0; i < rows; ++i) reference.varint(chunk.batch.id(i));
-    for (std::size_t i = 0; i < rows; ++i) reference.varint(chunk.batch.key(i));
+    for (std::size_t i = 0; i < rows; ++i) reference.u64(chunk.batch.key(i));
     const std::vector<std::uint8_t> body = wire::encode_body(chunk);
     EXPECT_EQ(body, reference.data()) << rows << " rows";
     Chunk back;
@@ -574,6 +576,55 @@ TEST(WireBatchCodec, ExtremeColumnValuesSurvive) {
     ASSERT_TRUE(wire::decode_message(r, out)) << rows << " rows";
     EXPECT_EQ(out.as<ChunkPayload>().chunk.batch, chunk.batch);
   }
+}
+
+TEST(WireBatchCodec, KeyColumnIsFixedWidth) {
+  // The boundary keys each take exactly 8 bytes, least significant first,
+  // behind the one-byte ids, and come back with their positions.
+  const std::vector<std::uint64_t> keys = {0, 1, (1ull << 56) - 1, 1ull << 63,
+                                           ~0ull};
+  Chunk chunk;
+  chunk.rel = RelTag::kR;
+  for (std::size_t i = 0; i < keys.size(); ++i) chunk.batch.append(i, keys[i]);
+  const std::vector<std::uint8_t> body = wire::encode_body(chunk);
+  const std::size_t key_column = 2 + keys.size();  // rel, count, ids
+  ASSERT_EQ(body.size(), key_column + 8 * keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    for (std::size_t b = 0; b < 8; ++b) {
+      EXPECT_EQ(body[key_column + 8 * i + b],
+                static_cast<std::uint8_t>(keys[i] >> (8 * b)))
+          << "key " << i << ", byte " << b;
+    }
+  }
+  Chunk back;
+  ASSERT_TRUE(wire::decode_body(body, back));
+  EXPECT_EQ(back.batch, chunk.batch);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(back.batch.position(i), position_of(keys[i]));
+  }
+
+  // Every truncation inside the key column is a clean false.
+  for (std::size_t len = key_column; len < body.size(); ++len) {
+    Chunk cut;
+    EXPECT_FALSE(wire::decode_body({body.data(), len}, cut))
+        << "a " << len << "-byte prefix decoded";
+  }
+
+  // A row count above remaining / 9 is refused before any column is
+  // allocated: 16 bytes behind the count hold one row at 9 bytes a row,
+  // not two.  Returns the verdict and the id column's capacity.
+  const auto decodes = [](std::uint64_t count, std::size_t tail) {
+    Writer w;
+    w.u8(static_cast<std::uint8_t>(RelTag::kS));
+    w.varint(count);
+    for (std::size_t i = 0; i < tail; ++i) w.u8(0);
+    Chunk out;
+    const bool ok = wire::decode_body(w.data(), out);
+    return std::pair{ok, out.batch.ids().capacity()};
+  };
+  EXPECT_EQ(decodes(2, 16), std::pair(false, std::size_t{0}));
+  EXPECT_EQ(decodes(1ull << 40, 64), std::pair(false, std::size_t{0}));
+  EXPECT_TRUE(decodes(2, 18).first);
 }
 
 TEST(WireBatchCodec, TruncationAndCorruptionAreTotal) {
@@ -716,7 +767,7 @@ std::vector<std::uint8_t> config_bytes(const EhjaConfig& config) {
   return w.take();
 }
 
-constexpr Pin kSampleConfigPin = {155291, 0xd8d76f0};
+constexpr Pin kSampleConfigPin = {130601, 0x77a38c62};
 constexpr Pin kDefaultConfigPin = {285, 0xea46d4d};
 
 TEST(WireConfig, RoundTripReencodesIdentically) {
