@@ -48,13 +48,6 @@ std::size_t ResourcePool::pick_locked() {
       }
       break;
     }
-    case NodePickPolicy::kRoundRobin: {
-      // Acquisition order cycles through the pool in insertion order; with
-      // no releases this degenerates to FIFO, which is the intent.
-      pick = 0;
-      ++rr_cursor_;
-      break;
-    }
   }
   return pick;
 }

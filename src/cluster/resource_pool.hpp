@@ -38,7 +38,6 @@ namespace ehja {
 enum class NodePickPolicy {
   kLargestFreeMemory,  // the paper's policy
   kFirstAvailable,     // lowest node id first
-  kRoundRobin,         // cycle through the pool
 };
 
 /// External provider backing a pool (the admission controller in serve
@@ -87,7 +86,6 @@ class ResourcePool {
   std::vector<NodeId> potential_;
   NodePickPolicy policy_;
   std::size_t acquired_ = 0;
-  std::size_t rr_cursor_ = 0;
   PoolHooks hooks_;
   /// Nodes currently out on loan *from the hook*, with a count per node
   /// (provenance: each release must reach the provider).  A count, not a

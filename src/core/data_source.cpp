@@ -288,11 +288,11 @@ void DataSourceActor::route_batch(const TupleBatch& batch, RelTag rel,
     fan_begin_.push_back(static_cast<std::uint32_t>(fan_.size()));
   }
   // The destination entry of every row, then the rows each slot receives.
-  const std::uint32_t* positions = batch.positions().data();
+  const std::uint64_t* keys = batch.keys().data();
   stage_entry_.resize(n);
   entry_counts_.assign(entries.size(), 0);
   for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t e = map_.index_for(positions[i]);
+    const std::size_t e = map_.index_for(position_of(keys[i]));
     stage_entry_[i] = static_cast<std::uint32_t>(e);
     ++entry_counts_[e];
   }

@@ -73,10 +73,10 @@ class DataSourceActor final : public Actor {
   void handle_replay(const ReplayRequestPayload& req);
   void replay_slice();
   /// Route a staged generation or replay batch: map the slice's
-  /// destinations to dense slots, take one pass over the position column
-  /// (destination entry per row + rows per slot, used to size the
-  /// buffers), then scatter in order so chunk boundaries match the
-  /// tuple-at-a-time semantics exactly.
+  /// destinations to dense slots, take one pass over the key column
+  /// (destination entry per row from its key's position + rows per slot,
+  /// used to size the buffers), then scatter in order so chunk boundaries
+  /// match the tuple-at-a-time semantics exactly.
   void route_batch(const TupleBatch& batch, RelTag rel, bool probe_fanout);
   void flush(ActorId to);
   void flush_all();
@@ -94,8 +94,7 @@ class DataSourceActor final : public Actor {
   std::uint64_t map_version_ = 0;
   std::optional<TupleStream> stream_;
   std::map<ActorId, Chunk> buffers_;
-  /// Reused staging area for one generation or replay slice (columnar;
-  /// positions are hashed once here and reused by every later hop).
+  /// Reused staging area for one generation or replay slice.
   TupleBatch stage_;
   /// One destination of the slice being routed: its actor, its buffer in
   /// buffers_ (null until the slot's first row, and again after each

@@ -208,7 +208,7 @@ void JoinProcessActor::handle_chunk(ActorId from, const ChunkPayload& payload) {
   }
   // Filter out tuples a recovery fence covers: they belong to ranges being
   // rebuilt, and the source replay re-delivers them under the new epoch.
-  // The filter runs over the batch's precomputed position column.
+  // The filter reads each row's position off its key.
   Chunk kept;
   kept.rel = chunk.rel;
   kept.batch.reserve(chunk.size());
@@ -246,7 +246,7 @@ void JoinProcessActor::handle_build_chunk(const Chunk& chunk,
     return;
   }
 
-  // Partition pass over the batch's position column: tuples we own stay,
+  // Partition pass over the batch's key positions: tuples we own stay,
   // tuples given away in splits (stale-source routing) ship hop-by-hop.
   // The common case -- every position owned -- inserts the incoming batch
   // wholesale without copying a row.

@@ -408,17 +408,6 @@ ActorId SchedulerActor::replace_source(ActorId dead) {
   // Un-count everything the dead stream contributed: the replacement
   // re-emits the identical slice (TupleStream is deterministic in the
   // source index) and re-reports its own completions.
-  const SourceRecord rec = source_records_[dead];
-  if (rec.done_build) {
-    --sources_done_build_;
-    source_chunks_build_ -= rec.build_chunks;
-    source_tuples_build_ -= rec.build_tuples;
-  }
-  if (rec.done_probe) {
-    --sources_done_probe_;
-    source_chunks_probe_ -= rec.probe_chunks;
-    source_tuples_probe_ -= rec.probe_tuples;
-  }
   source_records_.erase(dead);
   source_progress_.erase(dead);
   source_chunks_to_.erase(dead);
@@ -453,7 +442,7 @@ void SchedulerActor::recovery_complete(bool probe_recovery) {
   if (probe_recovery) {
     phase_ = Phase::kProbe;
     trace_event(TraceKind::kPhase, 0, 0, "probe_resume");
-    if (sources_done_probe_ == config_->data_sources) {
+    if (source_totals(&SourceRecord::probe).done == config_->data_sources) {
       phase_ = Phase::kProbeDrain;
       drain_.arm();
       start_drain_round();
@@ -650,33 +639,13 @@ void SchedulerActor::finish_promotion() {
   // Rebuild source bookkeeping from the acks: the workers' local truth
   // outranks any checkpoint (the predecessor may have died between a
   // source's kSourceDone and its next snapshot).
-  sources_done_build_ = 0;
-  sources_done_probe_ = 0;
-  source_chunks_build_ = 0;
-  source_chunks_probe_ = 0;
-  source_tuples_build_ = 0;
-  source_tuples_probe_ = 0;
   source_progress_.clear();
   source_records_.clear();
   source_chunks_to_.clear();
   for (const auto& [source, ack] : handoff_acks_) {
-    SourceRecord& rec = source_records_[source];
-    rec.done_build = (ack.done_mask & 0x1) != 0;
-    rec.done_probe = (ack.done_mask & 0x2) != 0;
-    rec.build_chunks = ack.build_chunks;
-    rec.probe_chunks = ack.probe_chunks;
-    rec.build_tuples = ack.build_tuples;
-    rec.probe_tuples = ack.probe_tuples;
-    if (rec.done_build) {
-      ++sources_done_build_;
-      source_chunks_build_ += ack.build_chunks;
-      source_tuples_build_ += ack.build_tuples;
-    }
-    if (rec.done_probe) {
-      ++sources_done_probe_;
-      source_chunks_probe_ += ack.probe_chunks;
-      source_tuples_probe_ += ack.probe_tuples;
-    }
+    source_records_[source] = SourceRecord{
+        {(ack.done_mask & 0x1) != 0, ack.build_chunks, ack.build_tuples},
+        {(ack.done_mask & 0x2) != 0, ack.probe_chunks, ack.probe_tuples}};
     source_progress_[source] = ack.build_tuples;
     source_chunks_to_[source] = ack.chunks_to;
   }
@@ -774,26 +743,16 @@ void SchedulerActor::start_replacement_source(ActorId source, RelTag rel,
 void SchedulerActor::handle_source_done(ActorId from,
                                         const SourceDonePayload& done) {
   if (config_->recovery_enabled()) source_chunks_to_[from] = done.chunks_to;
-  SourceRecord& rec = source_records_[from];
+  const SourceDone reported{true, done.chunks_sent, done.tuples_sent};
   if (done.rel == config_->build_rel.tag) {
-    ++sources_done_build_;
-    source_chunks_build_ += done.chunks_sent;
-    source_tuples_build_ += done.tuples_sent;
+    source_records_[from].build = reported;
     source_progress_[from] = done.tuples_sent;
-    rec.done_build = true;
-    rec.build_chunks = done.chunks_sent;
-    rec.build_tuples = done.tuples_sent;
     checkpoint();
     maybe_start_build_drain();
   } else {
-    ++sources_done_probe_;
-    source_chunks_probe_ += done.chunks_sent;
-    source_tuples_probe_ += done.tuples_sent;
-    rec.done_probe = true;
-    rec.probe_chunks = done.chunks_sent;
-    rec.probe_tuples = done.tuples_sent;
+    source_records_[from].probe = reported;
     checkpoint();
-    if (sources_done_probe_ == config_->data_sources) {
+    if (source_totals(&SourceRecord::probe).done == config_->data_sources) {
       if (phase_ == Phase::kProbe) {
         phase_ = Phase::kProbeDrain;
         drain_.arm();
@@ -814,15 +773,32 @@ void SchedulerActor::handle_source_progress(
   source_progress_[from] = progress.tuples_sent;
 }
 
+SchedulerActor::SourceTotals SchedulerActor::source_totals(
+    SourceDone SourceRecord::*rel) const {
+  SourceTotals totals;
+  for (const auto& [source, rec] : source_records_) {
+    const SourceDone& side = rec.*rel;
+    if (!side.done) continue;
+    ++totals.done;
+    totals.chunks += side.chunks;
+    totals.tuples += side.tuples;
+  }
+  return totals;
+}
+
 std::uint64_t SchedulerActor::expected_source_chunks() const {
-  std::uint64_t expected = source_chunks_build_;
-  if (phase_ == Phase::kProbeDrain) expected += source_chunks_probe_;
+  std::uint64_t expected = source_totals(&SourceRecord::build).chunks;
+  if (phase_ == Phase::kProbeDrain) {
+    expected += source_totals(&SourceRecord::probe).chunks;
+  }
   return expected;
 }
 
 void SchedulerActor::maybe_start_build_drain() {
   if (phase_ != Phase::kBuild) return;
-  if (sources_done_build_ != config_->data_sources) return;
+  if (source_totals(&SourceRecord::build).done != config_->data_sources) {
+    return;
+  }
   if (!policy_->idle()) return;
   phase_ = Phase::kBuildDrain;
   drain_.arm();
@@ -1077,8 +1053,10 @@ void SchedulerActor::handle_node_report(ActorId from,
 
   metrics_.t_complete = Actor::now();
   metrics_.final_join_nodes = static_cast<std::uint32_t>(joins_.size());
-  metrics_.source_build_chunks = source_chunks_build_;
-  metrics_.source_probe_chunks = source_chunks_probe_;
+  const SourceTotals build_sent = source_totals(&SourceRecord::build);
+  const SourceTotals probe_sent = source_totals(&SourceRecord::probe);
+  metrics_.source_build_chunks = build_sent.chunks;
+  metrics_.source_probe_chunks = probe_sent.chunks;
   if (config_->capture_output) {
     // Flatten per-node streams in actor-id order (the map's iteration
     // order); the consumer treats the result as a multiset and the total
@@ -1094,10 +1072,10 @@ void SchedulerActor::handle_node_report(ActorId from,
                    "captured pipeline output disagrees with the match count");
   }
   // Conservation: every generated build tuple is stored exactly once.
-  if (metrics_.build_tuples_total != source_tuples_build_) {
+  if (metrics_.build_tuples_total != build_sent.tuples) {
     EHJA_ERROR(name(), "build-tuple conservation broken: joins hold ",
                metrics_.build_tuples_total, ", sources sent ",
-               source_tuples_build_);
+               build_sent.tuples);
     for (const NodeMetrics& nm : metrics_.nodes) {
       EHJA_ERROR(name(), "  join actor ", nm.actor, " node ", nm.node,
                  " holds ", nm.build_tuples, " (received ",
@@ -1105,15 +1083,15 @@ void SchedulerActor::handle_node_report(ActorId from,
                  nm.chunks_forwarded, ")");
     }
   }
-  EHJA_CHECK_MSG(metrics_.build_tuples_total == source_tuples_build_,
+  EHJA_CHECK_MSG(metrics_.build_tuples_total == build_sent.tuples,
                  "build tuples lost or duplicated");
   // Probe tuples may be duplicated (replication broadcast), never lost.
-  // source_tuples_probe_ counts *deliveries* (one per fanned-out copy), so
-  // after a probe-phase recovery the bound no longer holds: a collapsed
+  // The sources' probe tuples count *deliveries* (one per fanned-out copy),
+  // so after a probe-phase recovery the bound no longer holds: a collapsed
   // entry's dead and retired replicas received deliveries the source counted
   // that are deliberately not re-sent to the single surviving owner.
   EHJA_CHECK(metrics_.failures_detected > 0 ||
-             metrics_.probe_tuples_total >= source_tuples_probe_);
+             metrics_.probe_tuples_total >= probe_sent.tuples);
   phase_ = Phase::kDone;
   trace_event(TraceKind::kPhase, 0, 0, "done");
   checkpoint();

@@ -232,12 +232,6 @@ class SchedulerActor final : public Actor,
   DrainProtocol drain_;
 
   // source bookkeeping
-  std::uint32_t sources_done_build_ = 0;
-  std::uint32_t sources_done_probe_ = 0;
-  std::uint64_t source_chunks_build_ = 0;
-  std::uint64_t source_chunks_probe_ = 0;
-  std::uint64_t source_tuples_build_ = 0;
-  std::uint64_t source_tuples_probe_ = 0;
   /// Cumulative build tuples per source, from kSourceProgress reports
   /// (kAdaptive only; the cost comparison's observed-rate input).
   std::map<ActorId, std::uint64_t> source_progress_;
@@ -269,18 +263,26 @@ class SchedulerActor final : public Actor,
   /// death whose node is still alive was a detector mistake, not a crash).
   std::map<ActorId, NodeId> node_of_;
   std::function<void()> on_done_;
-  /// What each source reported at its kSourceDone (per relation); a dead
-  /// source's counted contributions are subtracted from the phase totals so
-  /// its replacement can re-earn them.
+  /// What each source reported at its kSourceDone, per relation.  The
+  /// phase totals are sums over these records (source_totals), so erasing
+  /// a dead source's record un-counts it and its replacement re-earns it.
+  struct SourceDone {
+    bool done = false;
+    std::uint64_t chunks = 0;
+    std::uint64_t tuples = 0;
+  };
   struct SourceRecord {
-    bool done_build = false;
-    bool done_probe = false;
-    std::uint64_t build_chunks = 0;
-    std::uint64_t probe_chunks = 0;
-    std::uint64_t build_tuples = 0;
-    std::uint64_t probe_tuples = 0;
+    SourceDone build;
+    SourceDone probe;
   };
   std::map<ActorId, SourceRecord> source_records_;
+  /// One relation's totals over the sources that reported it done.
+  struct SourceTotals {
+    std::uint32_t done = 0;
+    std::uint64_t chunks = 0;
+    std::uint64_t tuples = 0;
+  };
+  SourceTotals source_totals(SourceDone SourceRecord::*rel) const;
 
   // --- scheduler failover (standby_scheduler runs only) ---
   enum class Mode {

@@ -34,18 +34,18 @@ constexpr std::size_t kPrefetchAhead = 16;
 constexpr std::size_t kSegmentAhead = 8;
 
 /// Abort unless every position of `batch` lies in `range`.  One branchless
-/// (vectorizable) scan at batch granularity, so the insert loops carry no
-/// per-row range check.  The abort semantics match the scalar path -- the
-/// process dies either way, and partial mutation is unobservable past an
-/// abort.
+/// (vectorizable) scan over the key column at batch granularity, so the
+/// insert loops carry no per-row range check.  The abort semantics match
+/// the scalar path -- the process dies either way, and partial mutation is
+/// unobservable past an abort.
 void check_positions(const TupleBatch& batch, const PosRange& range) {
   const std::size_t n = batch.size();
-  const std::uint32_t* positions = batch.positions().data();
-  const std::uint32_t vlo = static_cast<std::uint32_t>(range.lo);
-  const std::uint32_t vwidth = static_cast<std::uint32_t>(range.width());
-  std::uint32_t bad = 0;
+  const std::uint64_t* keys = batch.keys().data();
+  const std::uint64_t lo = range.lo;
+  const std::uint64_t width = range.width();
+  std::uint64_t bad = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    bad |= static_cast<std::uint32_t>(positions[i] - vlo >= vwidth);
+    bad |= static_cast<std::uint64_t>(position_of(keys[i]) - lo >= width);
   }
   EHJA_CHECK_MSG(bad == 0, "insert outside owned range");
 }
@@ -67,7 +67,6 @@ void LocalHashTable::insert(const Tuple& t) {
   c.head = e;
   ++c.count;
   ++tuple_count_;
-  footprint_bytes_ += tuple_footprint(schema_);
   run_live_ = false;
 }
 
@@ -76,7 +75,6 @@ void LocalHashTable::insert_batch(const TupleBatch& batch) {
   if (n == 0) return;
   const std::uint64_t* keys = batch.keys().data();
   const std::uint64_t* ids = batch.ids().data();
-  const std::uint32_t* positions = batch.positions().data();
   // Claim the whole slab segment up front: entry e for row i is base + i,
   // written through a raw pointer so the hot loop carries no capacity
   // checks.  Chain heads are touched with write-intent prefetch -- the
@@ -93,9 +91,9 @@ void LocalHashTable::insert_batch(const TupleBatch& batch) {
   for (std::size_t i = 0; i < n; ++i) {
     if (i + kPrefetchAhead < n) {
       EHJA_PREFETCH_W(&chains[static_cast<std::size_t>(
-          positions[i + kPrefetchAhead] - lo)]);
+          position_of(keys[i + kPrefetchAhead]) - lo)]);
     }
-    ChainRef& c = chains[static_cast<std::size_t>(positions[i] - lo)];
+    ChainRef& c = chains[static_cast<std::size_t>(position_of(keys[i]) - lo)];
     const std::uint32_t e = static_cast<std::uint32_t>(base + i);
     slab[e] = Entry{ids[i], keys[i], c.head};
     c.head = e;
@@ -118,9 +116,8 @@ void LocalHashTable::link(const TupleBatch& batch, std::size_t base,
   const std::size_t n = batch.size();
   const std::uint64_t* keys = batch.keys().data();
   const std::uint64_t* ids = batch.ids().data();
-  const std::uint32_t* positions = batch.positions().data();
-  const std::uint32_t sub_lo = static_cast<std::uint32_t>(sub.lo);
-  const std::uint32_t sub_width = static_cast<std::uint32_t>(sub.width());
+  const std::uint64_t sub_lo = sub.lo;
+  const std::uint64_t sub_width = sub.width();
   Entry* slab = slab_.data();
   ChainRef* chains = chains_.data();
   const std::uint64_t lo = range_.lo;
@@ -137,15 +134,15 @@ void LocalHashTable::link(const TupleBatch& batch, std::size_t base,
     std::size_t m = 0;
     for (std::size_t i = start; i < stop; ++i) {
       own[m] = static_cast<std::uint32_t>(i);
-      m += positions[i] - sub_lo < sub_width;
+      m += position_of(keys[i]) - sub_lo < sub_width;
     }
     for (std::size_t j = 0; j < m; ++j) {
       if (j + kPrefetchAhead < m) {
         EHJA_PREFETCH_W(&chains[static_cast<std::size_t>(
-            positions[own[j + kPrefetchAhead]] - lo)]);
+            position_of(keys[own[j + kPrefetchAhead]]) - lo)]);
       }
       const std::size_t i = own[j];
-      ChainRef& c = chains[static_cast<std::size_t>(positions[i] - lo)];
+      ChainRef& c = chains[static_cast<std::size_t>(position_of(keys[i]) - lo)];
       const std::uint32_t e = static_cast<std::uint32_t>(base + i);
       slab[e] = Entry{ids[i], keys[i], c.head};
       c.head = e;
@@ -156,8 +153,6 @@ void LocalHashTable::link(const TupleBatch& batch, std::size_t base,
 
 void LocalHashTable::commit(const TupleBatch& batch) {
   tuple_count_ += batch.size();
-  footprint_bytes_ +=
-      static_cast<std::uint64_t>(batch.size()) * tuple_footprint(schema_);
 }
 
 LocalHashTable::ProbeResult LocalHashTable::probe(const Tuple& s,
@@ -185,7 +180,6 @@ LocalHashTable::BatchProbeResult LocalHashTable::probe_rows(
   agg.probed = end - begin;
   const std::uint64_t* keys = batch.keys().data();
   const std::uint64_t* ids = batch.ids().data();
-  const std::uint32_t* positions = batch.positions().data();
   const std::uint32_t* offsets = offsets_.get();
   const RunRow* run = run_.data();
   const std::uint64_t lo = range_.lo;
@@ -195,14 +189,14 @@ LocalHashTable::BatchProbeResult LocalHashTable::probe_rows(
     // rows ahead, and by kSegmentAhead rows ahead it is cached, so the
     // start of the row's segment can be fetched too.
     if (i + kPrefetchAhead < end) {
-      const std::uint64_t p = positions[i + kPrefetchAhead] - lo;
+      const std::uint64_t p = position_of(keys[i + kPrefetchAhead]) - lo;
       if (p < width) EHJA_PREFETCH(&offsets[p]);
     }
     if (i + kSegmentAhead < end) {
-      const std::uint64_t p = positions[i + kSegmentAhead] - lo;
+      const std::uint64_t p = position_of(keys[i + kSegmentAhead]) - lo;
       if (p < width) EHJA_PREFETCH(run + offsets[p]);
     }
-    const std::uint64_t p = positions[i] - lo;
+    const std::uint64_t p = position_of(keys[i]) - lo;
     EHJA_CHECK_MSG(p < width, "probe outside owned range");
     const ProbeResult r =
         probe_position(static_cast<std::size_t>(p), keys[i], ids[i], sink);
@@ -324,12 +318,10 @@ TupleBatch LocalHashTable::extract_range(const PosRange& sub) {
     // leaves its rows in insertion order.
     end += c.count;
     std::size_t j = end;
-    const auto pos = static_cast<std::uint32_t>(sub.lo + p);
     for (std::uint32_t e = c.head; e != kNil;) {
       --j;
       out.ids[j] = slab[e].id;
       out.keys[j] = slab[e].key;
-      out.positions[j] = pos;
       // Removed entries stay in the slab; the mark keeps them out of the
       // next run.
       e = std::exchange(slab[e].chain_next, kUnlinked);
@@ -337,7 +329,6 @@ TupleBatch LocalHashTable::extract_range(const PosRange& sub) {
     c = ChainRef{};
   }
   tuple_count_ -= rows;
-  footprint_bytes_ -= rows * tuple_footprint(schema_);
   run_live_ = false;
   return extracted;
 }

@@ -31,10 +31,10 @@
 // run is the lookup mechanism, not the cost model.
 //
 // The batch interface (insert_batch / probe_batch) consumes columnar
-// TupleBatches: positions come from the batch's precomputed hash column and
-// the loops prefetch a few rows ahead -- chain heads when inserting, run
-// offsets and segments when probing -- which is where the bulk path's
-// throughput over tuple-at-a-time calls comes from.  Results are
+// TupleBatches: each row's position is shifted out of its key as the loop
+// reads it, and the loops prefetch a few rows ahead -- chain heads when
+// inserting, run offsets and segments when probing -- which is where the
+// bulk path's throughput over tuple-at-a-time calls comes from.  Results are
 // bit-identical to the scalar calls (tests/test_hash.cpp fuzzes the
 // equivalence).
 //
@@ -52,8 +52,8 @@
 //
 // Range surgery -- extract_range() for split migration, reshuffle and spill
 // eviction, set_range() after a reshuffle -- returns the removed rows as a
-// TupleBatch, one column pass over the chains, so the caller can re-chunk
-// and ship them without re-hashing, keeping accounting exact.
+// TupleBatch, one column pass over the chains, so the caller can re-chunk,
+// ship or spill them as they are, keeping accounting exact.
 // (Removed slab entries are never reclaimed; the slab high-water mark is
 // bounded by the tuples this node ever inserted.)
 //
@@ -81,14 +81,16 @@ class LocalHashTable {
   const PosRange& range() const { return range_; }
   const Schema& schema() const { return schema_; }
   std::uint64_t tuple_count() const { return tuple_count_; }
-  std::uint64_t footprint_bytes() const { return footprint_bytes_; }
+  std::uint64_t footprint_bytes() const {
+    return tuple_count_ * tuple_footprint(schema_);
+  }
   bool empty() const { return tuple_count_ == 0; }
 
   /// Insert a build tuple whose position must lie inside range().
   void insert(const Tuple& t);
 
-  /// Bulk insert of a whole batch (positions come from the batch's
-  /// precomputed hash column; every one must lie inside range()).
+  /// Bulk insert of a whole batch (every row's position must lie inside
+  /// range()).
   void insert_batch(const TupleBatch& batch);
 
   /// insert_batch in three steps, for lanes that split the work.  claim()
@@ -97,7 +99,7 @@ class LocalHashTable {
   /// probe run stale.  link() threads the rows whose position lies in
   /// `sub` onto their chains, in row order; calls with disjoint `sub`s
   /// write disjoint chains and slab entries, so they may run concurrently.
-  /// commit() adds the batch to the counters.  Once links covering
+  /// commit() adds the batch to the row count.  Once links covering
   /// range() are done, chains and slab equal what insert_batch(batch)
   /// would have built.
   std::size_t claim(const TupleBatch& batch);
@@ -206,7 +208,6 @@ class LocalHashTable {
   Schema schema_;
   PosRange range_;
   std::uint64_t tuple_count_ = 0;
-  std::uint64_t footprint_bytes_ = 0;
   std::vector<Entry> slab_;       // unlinked entries stay
   std::vector<ChainRef> chains_;  // one per owned position
   // The probe run: position p's live rows are run_[offsets_[p],

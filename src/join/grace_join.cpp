@@ -103,7 +103,7 @@ double HybridHashSpiller::build(const TupleBatch& batch) {
     for (; i < batch.size() && !over; ++i) {
       Partition& part = partitions_[partition_of(batch.position(i))];
       if (part.spilled) {
-        seconds += spill_row(part.r_tuples, part.r_file, batch.tuple(i));
+        seconds += spill_row(part.r_rows, part.r_file, batch, i);
         continue;
       }
       resident_.append_row(batch, i);
@@ -143,23 +143,21 @@ double HybridHashSpiller::evict_over_budget(double seconds) {
 
 double HybridHashSpiller::evict(std::size_t victim) {
   Partition& part = partitions_[victim];
+  // A sub-partition is evicted at most once per cut, and rows only spill
+  // to it after that, so the extracted batch becomes its R side whole.
+  EHJA_CHECK(!part.spilled && part.r_rows.empty());
   part.spilled = true;
-  const TupleBatch evicted = table_.extract_range(part.range);
-  EHJA_CHECK(evicted.size() == part.mem_tuples);
+  part.r_rows = table_.extract_range(part.range);
+  EHJA_CHECK(part.r_rows.size() == part.mem_tuples);
   part.mem_tuples = 0;
-  double seconds =
-      static_cast<double>(evicted.size()) * cost_->tuple_pack_sec;
-  seconds += part.r_file.append(evicted.size() * schema_.tuple_bytes);
-  part.r_file.note_records(evicted.size());
-  part.r_tuples.reserve(part.r_tuples.size() + evicted.size());
-  for (const Tuple t : evicted) part.r_tuples.push_back(t);
-  return seconds;
+  const std::size_t rows = part.r_rows.size();
+  return static_cast<double>(rows) * cost_->tuple_pack_sec +
+         part.r_file.append(rows * schema_.tuple_bytes);
 }
 
-double HybridHashSpiller::spill_row(std::vector<Tuple>& rows, SpillFile& file,
-                                    Tuple t) {
-  rows.push_back(t);
-  file.note_records(1);
+double HybridHashSpiller::spill_row(TupleBatch& rows, SpillFile& file,
+                                    const TupleBatch& batch, std::size_t i) {
+  rows.append_row(batch, i);
   return cost_->tuple_pack_sec + file.append(schema_.tuple_bytes);
 }
 
@@ -173,7 +171,7 @@ double HybridHashSpiller::probe(const TupleBatch& batch, JoinResult& acc,
     for (std::size_t i = 0; i < batch.size(); ++i) {
       Partition& part = partitions_[partition_of(batch.position(i))];
       if (part.spilled) {
-        seconds += spill_row(part.s_tuples, part.s_file, batch.tuple(i));
+        seconds += spill_row(part.s_rows, part.s_file, batch, i);
       } else {
         resident_.append_row(batch, i);
       }
@@ -206,27 +204,24 @@ double HybridHashSpiller::reset(const std::vector<PosRange>& discard,
   EHJA_CHECK(!finished_);
   TupleBatch build_keep;
   TupleBatch probe_keep;
-  const auto kept = [&discard](std::uint64_t pos) {
-    const auto covers = [pos](const PosRange& r) { return r.contains(pos); };
-    return std::none_of(discard.begin(), discard.end(), covers);
-  };
-  const auto keep = [&kept](TupleBatch& out, const std::vector<Tuple>& in) {
-    for (const Tuple& t : in) {
-      if (kept(position_of(t.key))) out.push_back(t);
+  const auto keep = [&discard](TupleBatch& out, const TupleBatch& in) {
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      const std::uint64_t pos = in.position(i);
+      const auto covers = [pos](const PosRange& r) { return r.contains(pos); };
+      if (std::none_of(discard.begin(), discard.end(), covers)) {
+        out.append_row(in, i);
+      }
     }
   };
   // Drain in sub-partition order: in-memory rows, then the spill files'.
   double seconds = 0.0;
   for (Partition& part : partitions_) {
-    const TupleBatch held = table_.extract_range(part.range);
-    for (std::size_t i = 0; i < held.size(); ++i) {
-      if (kept(held.position(i))) build_keep.append_row(held, i);
-    }
+    keep(build_keep, table_.extract_range(part.range));
     if (part.spilled) {
       seconds += part.r_file.flush() + part.s_file.flush();
       seconds += part.r_file.scan_all() + part.s_file.scan_all();
-      keep(build_keep, part.r_tuples);
-      keep(probe_keep, part.s_tuples);
+      keep(build_keep, part.r_rows);
+      keep(probe_keep, part.s_rows);
     }
   }
   // The survivors re-run the dynamic hybrid-hash discipline under fresh
@@ -242,29 +237,35 @@ double HybridHashSpiller::reset(const std::vector<PosRange>& discard,
 double HybridHashSpiller::join_partition(Partition& part, JoinResult& acc,
                                          std::vector<Tuple>* sink) {
   double seconds = part.r_file.flush() + part.s_file.flush();
-  if (part.r_tuples.empty() || part.s_tuples.empty()) {
+  if (part.r_rows.empty() || part.s_rows.empty()) {
     // Still pay the scan of whichever side has data (the 2004 code would
     // read the partition to discover it matches nothing).
     seconds += part.r_file.scan_all();
     seconds += part.s_file.scan_all();
     return seconds;
   }
-  const std::uint64_t r_footprint =
-      part.r_tuples.size() * tuple_footprint(schema_);
-  const std::size_t passes =
-      static_cast<std::size_t>(ceil_div(r_footprint, budget_));
-  const std::size_t n = part.r_tuples.size();
+  const std::size_t n = part.r_rows.size();
+  const std::size_t passes = static_cast<std::size_t>(
+      ceil_div(n * tuple_footprint(schema_), budget_));
+  TupleBatch slice;
   for (std::size_t f = 0; f < passes; ++f) {
     const std::size_t begin = n * f / passes;
     const std::size_t end = n * (f + 1) / passes;
     // Read this R fragment and build an in-memory table over it.
     seconds += part.r_file.scan((end - begin) * schema_.tuple_bytes);
     seconds += static_cast<double>(end - begin) * cost_->tuple_insert_sec;
+    // One pass builds over the whole R side in place; more copy a slice.
+    const TupleBatch* rows = &part.r_rows;
+    if (passes > 1) {
+      slice.clear();
+      slice.append_range(part.r_rows, begin, end);
+      rows = &slice;
+    }
     LocalHashTable fragment(schema_, part.range);
-    for (std::size_t i = begin; i < end; ++i) fragment.insert(part.r_tuples[i]);
+    fragment.insert_batch(*rows);
     // Each pass rescans the full S partition -- the multi-pass penalty.
-    seconds += part.s_file.scan(part.s_tuples.size() * schema_.tuple_bytes);
-    for (const Tuple& s : part.s_tuples) {
+    seconds += part.s_file.scan(part.s_rows.size() * schema_.tuple_bytes);
+    for (const Tuple s : part.s_rows) {
       seconds += cost_->tuple_probe_sec;
       const auto probe = fragment.probe(s, sink);
       acc.matches += probe.matches;
@@ -293,13 +294,13 @@ double HybridHashSpiller::finish(JoinResult& acc, std::vector<Tuple>* sink) {
 
 std::uint64_t HybridHashSpiller::spilled_build_tuples() const {
   std::uint64_t n = 0;
-  for (const Partition& p : partitions_) n += p.r_tuples.size();
+  for (const Partition& p : partitions_) n += p.r_rows.size();
   return n;
 }
 
 std::uint64_t HybridHashSpiller::spilled_probe_tuples() const {
   std::uint64_t n = 0;
-  for (const Partition& p : partitions_) n += p.s_tuples.size();
+  for (const Partition& p : partitions_) n += p.s_rows.size();
   return n;
 }
 

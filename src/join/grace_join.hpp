@@ -115,14 +115,17 @@ class HybridHashSpiller {
   bool any_spilled() const { return spilled_partitions() > 0; }
 
  private:
+  /// One sub-partition.  Spilled, its "disk contents" are two batches in
+  /// host memory: the R batch extract_range evicted, moved in whole, then
+  /// the build and probe rows that arrive afterwards, appended in order.
   struct Partition {
     PosRange range;
     SpillFile r_file;
     SpillFile s_file;
     bool spilled = false;
     std::uint64_t mem_tuples = 0;  // build tuples currently in memory
-    std::vector<Tuple> r_tuples{};  // "disk contents"
-    std::vector<Tuple> s_tuples{};
+    TupleBatch r_rows{};
+    TupleBatch s_rows{};
   };
 
   const TupleBatch& one_row(const Tuple& t) {
@@ -136,7 +139,9 @@ class HybridHashSpiller {
   /// `seconds` plus the evictions the policy makes once over budget.
   double evict_over_budget(double seconds);
   double evict(std::size_t victim);
-  double spill_row(std::vector<Tuple>& rows, SpillFile& file, Tuple t);
+  /// Append row `i` of `batch` to a spilled side.
+  double spill_row(TupleBatch& rows, SpillFile& file, const TupleBatch& batch,
+                   std::size_t i);
   double join_partition(Partition& part, JoinResult& acc,
                         std::vector<Tuple>* sink);
 

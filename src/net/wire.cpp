@@ -136,6 +136,9 @@ std::uint64_t Reader::u64() {
 }
 
 void Reader::u64s(std::span<std::uint64_t> column) {
+  // An empty column (a zero-row chunk's) may have a null data pointer,
+  // which memcpy must not be passed even for zero bytes.
+  if (column.empty()) return;
   if (!ok_ || remaining() / 8 < column.size()) {
     ok_ = false;
     std::fill(column.begin(), column.end(), 0);
@@ -491,8 +494,7 @@ bool Dec::get(std::string& s) {
 
 // Chunks are encoded columnar (all row ids as varints, then all join
 // attributes as 8-byte words) so the codec streams each column of the batch
-// sequentially; the derived position column is recomputed on decode rather
-// than shipped.
+// sequentially; positions are the keys' top bits and never ship.
 void Enc::put(const Chunk& v) {
   put(v.rel);
   w_.varint(v.batch.size());
@@ -514,11 +516,7 @@ bool Dec::get(Chunk& v) {
   const TupleBatch::Columns rows = v.batch.append_rows(n);
   r_.varints({rows.ids, n});
   r_.u64s({rows.keys, n});
-  if (!r_.ok()) return false;
-  for (std::size_t i = 0; i < n; ++i) {
-    rows.positions[i] = static_cast<std::uint32_t>(position_of(rows.keys[i]));
-  }
-  return true;
+  return r_.ok();
 }
 
 void Enc::put(const PartitionMap& v) { (*this)(v.positions(), v.entries()); }

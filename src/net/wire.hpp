@@ -55,8 +55,8 @@
 //     the position space spreads over all 64 bits and would take 9-10
 //     varint bytes; row ids are small and stay varints.  Decode checks the
 //     row count against the remaining bytes at 9 per row before it
-//     allocates, fills the TupleBatch's columns in place and derives the
-//     position column from the keys (positions never ship).
+//     allocates and fills the TupleBatch's two columns in place; a row's
+//     position is its key's top bits, so positions never ship.
 //   * Frame bodies -- encode_body/decode_body turn one value (a control
 //     frame, a serve payload, an EhjaConfig) into a whole frame body and
 //     back; decode_body rejects a body with a byte missing or left over.
@@ -237,7 +237,7 @@ constexpr Topology wire_max(Topology) { return Topology::kSharedBus; }
 constexpr KillRole wire_max(KillRole) { return KillRole::kScheduler; }
 constexpr Algorithm wire_max(Algorithm) { return Algorithm::kAdaptive; }
 constexpr NodePickPolicy wire_max(NodePickPolicy) {
-  return NodePickPolicy::kRoundRobin;
+  return NodePickPolicy::kFirstAvailable;
 }
 constexpr SplitVariant wire_max(SplitVariant) {
   return SplitVariant::kLinearPointer;

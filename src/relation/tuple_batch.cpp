@@ -5,20 +5,18 @@ namespace ehja {
 TupleBatch TupleBatch::from_tuples(const std::vector<Tuple>& tuples) {
   TupleBatch batch;
   batch.reserve(tuples.size());
-  for (const Tuple& t : tuples) batch.append(t.id, t.key);
+  for (const Tuple& t : tuples) batch.push_back(t);
   return batch;
 }
 
 void TupleBatch::reserve(std::size_t n) {
   ids_.reserve(n);
   keys_.reserve(n);
-  positions_.reserve(n);
 }
 
 void TupleBatch::clear() {
   ids_.clear();
   keys_.clear();
-  positions_.clear();
 }
 
 void TupleBatch::append_range(const TupleBatch& src, std::size_t begin,
@@ -26,17 +24,13 @@ void TupleBatch::append_range(const TupleBatch& src, std::size_t begin,
   ids_.insert(ids_.end(), src.ids_.begin() + begin, src.ids_.begin() + end);
   keys_.insert(keys_.end(), src.keys_.begin() + begin,
                src.keys_.begin() + end);
-  positions_.insert(positions_.end(), src.positions_.begin() + begin,
-                    src.positions_.begin() + end);
 }
 
 TupleBatch::Columns TupleBatch::append_rows(std::size_t n) {
   const std::size_t base = size();
   ids_.resize(base + n);
   keys_.resize(base + n);
-  positions_.resize(base + n);
-  return Columns{ids_.data() + base, keys_.data() + base,
-                 positions_.data() + base};
+  return Columns{ids_.data() + base, keys_.data() + base};
 }
 
 }  // namespace ehja

@@ -1,22 +1,22 @@
 // Columnar tuple batch: the unit of the data plane.
 //
-// A batch stores the paper's synthetic tuples decomposed into parallel
-// columns -- row ids, join attributes, and a precomputed hash-position
-// column -- so that the hot paths (partitioning at the sources, bulk
-// build/probe at the join processes, the wire codec) stream over contiguous
-// arrays instead of chasing an array-of-structs one tuple at a time.  The
-// position column is the "hash column": position_of(key) is evaluated once,
-// where the tuple is materialized, and every later consumer (routing,
-// fences, forward tables, hash-table build) reads it instead of re-hashing.
+// A batch stores the paper's synthetic tuples decomposed into two parallel
+// columns -- row ids and join attributes -- so that the hot paths
+// (partitioning at the sources, bulk build/probe at the join processes, the
+// wire codec) stream over contiguous arrays instead of chasing an
+// array-of-structs one tuple at a time.  A row's hash position is not
+// stored: position(i) is position_of(key(i)), a single shift, which every
+// consumer (routing, fences, forward tables, hash-table build) evaluates
+// where it reads the key.  A row costs 16 bytes in every batch.
 //
 // The schema's payload-size column is degenerate -- every tuple of a
 // relation carries the same payload_bytes() -- so it is represented by the
 // Schema rather than per-row storage; payload bytes still flow through all
 // footprint and wire-cost computations.
 //
-// Builder API: append()/push_back() grow all columns in lockstep;
-// append_row()/append_range() copy rows across batches without re-hashing;
-// append_rows() hands out raw columns for a bulk writer to fill.
+// Builder API: append()/push_back() grow both columns in lockstep;
+// append_row()/append_range() copy rows across batches; append_rows()
+// hands out raw columns for a bulk writer to fill.
 // Iterator API: begin()/end() yield materialized Tuple values for code that
 // wants row-at-a-time access (tests, the serial reference join).
 #pragma once
@@ -41,42 +41,34 @@ class TupleBatch {
   void reserve(std::size_t n);
   void clear();
 
-  /// Append one tuple, computing its hash position.
   void append(std::uint64_t id, std::uint64_t key) {
     ids_.push_back(id);
     keys_.push_back(key);
-    positions_.push_back(static_cast<std::uint32_t>(position_of(key)));
   }
   void push_back(const Tuple& t) { append(t.id, t.key); }
 
-  /// Copy row `i` of `src` without re-hashing.
+  /// Copy row `i` of `src`.
   void append_row(const TupleBatch& src, std::size_t i) {
-    ids_.push_back(src.ids_[i]);
-    keys_.push_back(src.keys_[i]);
-    positions_.push_back(src.positions_[i]);
+    append(src.ids_[i], src.keys_[i]);
   }
 
-  /// Bulk-copy rows [begin, end) of `src` (column memcpy, no re-hashing).
+  /// Bulk-copy rows [begin, end) of `src` (one memcpy per column).
   void append_range(const TupleBatch& src, std::size_t begin, std::size_t end);
 
-  /// The columns of `n` rows appended for the caller to fill in place; the
-  /// caller writes position_of(key) into every position it fills.
+  /// The columns of `n` rows appended for the caller to fill in place.
   struct Columns {
     std::uint64_t* ids;
     std::uint64_t* keys;
-    std::uint32_t* positions;
   };
   Columns append_rows(std::size_t n);
 
   std::uint64_t id(std::size_t i) const { return ids_[i]; }
   std::uint64_t key(std::size_t i) const { return keys_[i]; }
-  /// Precomputed position_of(key(i)).
-  std::uint64_t position(std::size_t i) const { return positions_[i]; }
+  std::uint64_t position(std::size_t i) const { return position_of(keys_[i]); }
   Tuple tuple(std::size_t i) const { return Tuple{ids_[i], keys_[i]}; }
 
   const std::vector<std::uint64_t>& ids() const { return ids_; }
   const std::vector<std::uint64_t>& keys() const { return keys_; }
-  const std::vector<std::uint32_t>& positions() const { return positions_; }
 
   /// Row-at-a-time view materializing Tuple values.
   class const_iterator {
@@ -98,19 +90,11 @@ class TupleBatch {
   const_iterator begin() const { return {this, 0}; }
   const_iterator end() const { return {this, size()}; }
 
-  /// Row-wise equality (positions are derived, hence not compared twice).
-  friend bool operator==(const TupleBatch& a, const TupleBatch& b) {
-    return a.ids_ == b.ids_ && a.keys_ == b.keys_;
-  }
+  friend bool operator==(const TupleBatch&, const TupleBatch&) = default;
 
  private:
   std::vector<std::uint64_t> ids_;
   std::vector<std::uint64_t> keys_;
-  // Positions fit in 32 bits (kPositionBits <= 32 by construction); the
-  // narrower column halves the bytes the partition passes stream.
-  std::vector<std::uint32_t> positions_;
 };
-
-static_assert(kPositionBits <= 32, "position column is stored as uint32");
 
 }  // namespace ehja

@@ -1,10 +1,11 @@
-// A spill partition: byte/record accounting plus buffered-write cost hooks.
+// A spill partition: byte accounting plus buffered-write cost hooks.
 //
-// Records themselves are held by the caller (the simulated "disk contents"
-// live in host memory); SpillFile tracks the accounted on-disk size and
-// translates appends/scans into SimDisk time, buffering appends so that a
-// seek is charged once per flushed buffer rather than once per record --
-// matching how the 2004 implementation would batch partition writes.
+// Rows themselves are held by the caller (the simulated "disk contents"
+// live in host memory, as TupleBatches in join/grace_join); SpillFile
+// tracks the accounted on-disk size and translates appends/scans into
+// SimDisk time, buffering appends so that a seek is charged once per
+// flushed buffer rather than once per record -- matching how the 2004
+// implementation would batch partition writes.
 #pragma once
 
 #include <cstddef>
@@ -34,14 +35,11 @@ class SpillFile {
   double scan(std::size_t bytes);
 
   std::uint64_t bytes() const { return total_bytes_; }
-  std::uint64_t records() const { return records_; }
-  void note_records(std::uint64_t n) { records_ += n; }
 
  private:
   SimDisk* disk_;
   std::uint64_t stream_id_;
   std::uint64_t total_bytes_ = 0;
-  std::uint64_t records_ = 0;
   std::size_t buffered_ = 0;
 };
 

@@ -47,14 +47,6 @@ TEST(ResourcePoolTest, FirstAvailablePolicy) {
   EXPECT_EQ(pool.acquire().value(), 3);
 }
 
-TEST(ResourcePoolTest, RoundRobinPolicyCycles) {
-  const ClusterSpec spec = make_uniform_cluster(4);
-  ResourcePool pool(spec, {0, 1, 2, 3}, NodePickPolicy::kRoundRobin);
-  EXPECT_EQ(pool.acquire().value(), 0);
-  EXPECT_EQ(pool.acquire().value(), 1);
-  EXPECT_EQ(pool.acquire().value(), 2);
-}
-
 TEST(ResourcePoolTest, ReleaseReturnsNode) {
   const ClusterSpec spec = make_uniform_cluster(3);
   ResourcePool pool(spec, {0, 1}, NodePickPolicy::kFirstAvailable);

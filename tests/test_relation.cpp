@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "relation/chunk.hpp"
 #include "relation/relation.hpp"
@@ -81,6 +82,42 @@ TEST(TupleTest, FailuresPrintIdAndKey) {
   batch.append(1, 2);
   batch.append(3, 4);
   EXPECT_EQ(::testing::PrintToString(batch), "{ (1, 2), (3, 4) }");
+}
+
+TEST(TupleBatchTest, BuildersAgreeAndPositionsAreTheKeysTopBits) {
+  // Both edges of position 0, the first key of position 1 and the last key
+  // of the last position.
+  const std::vector<Tuple> rows = {
+      {10, 0}, {11, (1ull << 44) - 1}, {12, 1ull << 44}, {13, ~0ull}};
+  const TupleBatch from = TupleBatch::from_tuples(rows);
+
+  TupleBatch pushed;
+  for (const Tuple& t : rows) pushed.push_back(t);
+  TupleBatch by_row;
+  for (std::size_t i = 0; i < from.size(); ++i) by_row.append_row(from, i);
+  TupleBatch by_range;
+  by_range.append_range(from, 0, 1);
+  by_range.append_range(from, 1, from.size());
+  TupleBatch in_place;
+  const TupleBatch::Columns cols = in_place.append_rows(rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    cols.ids[i] = rows[i].id;
+    cols.keys[i] = rows[i].key;
+  }
+  EXPECT_EQ(pushed, from);
+  EXPECT_EQ(by_row, from);
+  EXPECT_EQ(by_range, from);
+  EXPECT_EQ(in_place, from);
+
+  ASSERT_EQ(from.size(), rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(from.tuple(i), rows[i]);
+    EXPECT_EQ(from.position(i), position_of(rows[i].key));
+  }
+  EXPECT_EQ(from.position(0), 0u);
+  EXPECT_EQ(from.position(1), 0u);
+  EXPECT_EQ(from.position(2), 1u);
+  EXPECT_EQ(from.position(3), kPositionCount - 1);
 }
 
 }  // namespace

@@ -72,10 +72,8 @@ TEST(SpillFileTest, ScanAllReadsEverything) {
   SimDisk disk(test_disk());
   SpillFile file(disk, 3);
   file.append(5000);
-  file.note_records(50);
   const double cost = file.scan_all();
   EXPECT_GE(cost, 5000 / 2e6);  // at least the read transfer time
-  EXPECT_EQ(file.records(), 50u);
   EXPECT_EQ(disk.bytes_read(), 5000u);
 }
 
